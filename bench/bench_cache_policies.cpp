@@ -1,9 +1,9 @@
 // bench_cache_policies — the cache-policy laboratory's quantitative
 // deliverable: how much of CESRM's expedited-recovery win depends on the
 // §3.1 replacement policy? Per trace, one SRM reference run plus one
-// CESRM run per cache policy (recency = the paper's scheme, lru, lfu,
-// ttl, confidence, sharded, and the oracle upper bound fed the true
-// injected loss links). For each run: the cache hit rate at loss
+// CESRM run per cache policy (recency = the paper's scheme, sharded
+// per-subtree recency, and the oracle upper bound fed the true injected
+// loss links). For each run: the cache hit rate at loss
 // detection, the expedited success rate and share of recoveries, the
 // normalized recovery latency, and control overhead relative to SRM.
 // The closing summary compares the recency row against the oracle —

@@ -19,14 +19,13 @@ RecoveryCache::RecoveryCache(const CacheConfig& config, net::NodeId owner,
     : kind_(config.policy),
       impl_(make_cache_policy(config, owner, source)) {}
 
-bool RecoveryCache::update(const RecoveryTuple& tuple, sim::SimTime now) {
-  return impl_->update(tuple, now);
+bool RecoveryCache::update(const RecoveryTuple& tuple) {
+  return impl_->update(tuple);
 }
 
 std::optional<RecoveryTuple> RecoveryCache::select(ExpeditionPolicy how,
-                                                   net::SeqNo lost_seq,
-                                                   sim::SimTime now) {
-  return impl_->select(how, lost_seq, now);
+                                                   net::SeqNo lost_seq) {
+  return impl_->select(how, lost_seq);
 }
 
 std::optional<RecoveryTuple> RecoveryCache::most_recent() const {

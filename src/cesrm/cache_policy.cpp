@@ -11,13 +11,9 @@ namespace cesrm::cesrm {
 
 namespace {
 
-constexpr util::EnumNames<CachePolicyKind, 7> kCachePolicyNames{
+constexpr util::EnumNames<CachePolicyKind, 3> kCachePolicyNames{
     "cache policy",
     {{{CachePolicyKind::kRecency, "recency"},
-      {CachePolicyKind::kLru, "lru"},
-      {CachePolicyKind::kLfu, "lfu"},
-      {CachePolicyKind::kTtl, "ttl"},
-      {CachePolicyKind::kConfidence, "confidence"},
       {CachePolicyKind::kSharded, "sharded"},
       {CachePolicyKind::kOracle, "oracle"}}}};
 
@@ -87,7 +83,7 @@ class RecencyPolicy : public CachePolicy {
   }
 
  protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime) override {
+  bool do_update(const RecoveryTuple& tuple) override {
     if (auto it = entries_.find(tuple.seq); it != entries_.end()) {
       // Already cached: keep the optimal pair for this packet.
       if (tuple.recovery_delay() < it->second.recovery_delay()) {
@@ -114,322 +110,12 @@ class RecencyPolicy : public CachePolicy {
     return true;
   }
 
-  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how, net::SeqNo,
-                                         sim::SimTime) override {
+  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how,
+                                         net::SeqNo) override {
     return dispatch(*this, how);
   }
 
   std::map<net::SeqNo, RecoveryTuple> entries_;  // keyed by packet seq
-};
-
-// ---------------------------------------------------------------------------
-// lru — replacement by access recency instead of packet recency: every
-// update or selection touch refreshes a tuple's use clock, and a full
-// cache evicts the least recently used tuple (old packets whose pair
-// keeps getting picked stay cached; recency's older-than-all admission
-// filter does not apply).
-
-class LruPolicy final : public CachePolicy {
- public:
-  explicit LruPolicy(std::size_t capacity) : CachePolicy(capacity) {}
-
-  std::optional<RecoveryTuple> most_recent() const override {
-    if (entries_.empty()) return std::nullopt;
-    return entries_.rbegin()->second.tuple;
-  }
-
-  std::optional<RecoveryTuple> most_frequent() const override {
-    std::vector<const RecoveryTuple*> by_seq;
-    by_seq.reserve(entries_.size());
-    for (const auto& [seq, e] : entries_) by_seq.push_back(&e.tuple);
-    return most_frequent_of(by_seq);
-  }
-
-  std::size_t size() const override { return entries_.size(); }
-
-  void snapshot(std::vector<RecoveryTuple>* out) const override {
-    for (const auto& [seq, e] : entries_) out->push_back(e.tuple);
-  }
-
- protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime) override {
-    ++clock_;
-    if (auto it = entries_.find(tuple.seq); it != entries_.end()) {
-      it->second.last_use = clock_;
-      if (tuple.recovery_delay() < it->second.tuple.recovery_delay()) {
-        it->second.tuple = tuple;
-        ++stats_.updates;
-        return true;
-      }
-      ++stats_.rejects;
-      return false;
-    }
-    if (entries_.size() >= capacity_) {
-      auto victim = entries_.begin();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it)
-        if (it->second.last_use < victim->second.last_use) victim = it;
-      entries_.erase(victim);
-      ++stats_.evictions;
-    }
-    entries_.emplace(tuple.seq, Entry{tuple, clock_});
-    ++stats_.insertions;
-    return true;
-  }
-
-  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how, net::SeqNo,
-                                         sim::SimTime) override {
-    auto picked = dispatch(*this, how);
-    if (picked) {
-      ++clock_;
-      if (auto it = entries_.find(picked->seq); it != entries_.end())
-        it->second.last_use = clock_;
-    }
-    return picked;
-  }
-
- private:
-  struct Entry {
-    RecoveryTuple tuple;
-    std::uint64_t last_use = 0;
-  };
-  std::map<net::SeqNo, Entry> entries_;
-  std::uint64_t clock_ = 0;  ///< logical use clock (ties broke by age)
-};
-
-// ---------------------------------------------------------------------------
-// lfu — replacement by access frequency: a tuple's count rises on every
-// update attempt and selection; a full cache evicts the least frequently
-// used tuple, ties breaking toward the older packet.
-
-class LfuPolicy final : public CachePolicy {
- public:
-  explicit LfuPolicy(std::size_t capacity) : CachePolicy(capacity) {}
-
-  std::optional<RecoveryTuple> most_recent() const override {
-    if (entries_.empty()) return std::nullopt;
-    return entries_.rbegin()->second.tuple;
-  }
-
-  std::optional<RecoveryTuple> most_frequent() const override {
-    std::vector<const RecoveryTuple*> by_seq;
-    by_seq.reserve(entries_.size());
-    for (const auto& [seq, e] : entries_) by_seq.push_back(&e.tuple);
-    return most_frequent_of(by_seq);
-  }
-
-  std::size_t size() const override { return entries_.size(); }
-
-  void snapshot(std::vector<RecoveryTuple>* out) const override {
-    for (const auto& [seq, e] : entries_) out->push_back(e.tuple);
-  }
-
- protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime) override {
-    if (auto it = entries_.find(tuple.seq); it != entries_.end()) {
-      ++it->second.freq;
-      if (tuple.recovery_delay() < it->second.tuple.recovery_delay()) {
-        it->second.tuple = tuple;
-        ++stats_.updates;
-        return true;
-      }
-      ++stats_.rejects;
-      return false;
-    }
-    if (entries_.size() >= capacity_) {
-      // Evict the lowest-frequency tuple; map order makes the tie-break
-      // (older packet) deterministic.
-      auto victim = entries_.begin();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it)
-        if (it->second.freq < victim->second.freq) victim = it;
-      entries_.erase(victim);
-      ++stats_.evictions;
-    }
-    entries_.emplace(tuple.seq, Entry{tuple, 1});
-    ++stats_.insertions;
-    return true;
-  }
-
-  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how, net::SeqNo,
-                                         sim::SimTime) override {
-    auto picked = dispatch(*this, how);
-    if (picked) {
-      if (auto it = entries_.find(picked->seq); it != entries_.end())
-        ++it->second.freq;
-    }
-    return picked;
-  }
-
- private:
-  struct Entry {
-    RecoveryTuple tuple;
-    std::uint64_t freq = 0;
-  };
-  std::map<net::SeqNo, Entry> entries_;
-};
-
-// ---------------------------------------------------------------------------
-// ttl — recency plus lazy expiry: tuples stored longer than the TTL are
-// swept on the next update or selection, so a pair that stopped being
-// refreshed (its replier left, the loss locus moved) cannot keep steering
-// expedited recoveries indefinitely.
-
-class TtlPolicy final : public CachePolicy {
- public:
-  TtlPolicy(std::size_t capacity, sim::SimTime ttl)
-      : CachePolicy(capacity), ttl_(ttl) {}
-
-  std::optional<RecoveryTuple> most_recent() const override {
-    if (entries_.empty()) return std::nullopt;
-    return entries_.rbegin()->second.tuple;
-  }
-
-  std::optional<RecoveryTuple> most_frequent() const override {
-    std::vector<const RecoveryTuple*> by_seq;
-    by_seq.reserve(entries_.size());
-    for (const auto& [seq, e] : entries_) by_seq.push_back(&e.tuple);
-    return most_frequent_of(by_seq);
-  }
-
-  std::size_t size() const override { return entries_.size(); }
-
-  void snapshot(std::vector<RecoveryTuple>* out) const override {
-    for (const auto& [seq, e] : entries_) out->push_back(e.tuple);
-  }
-
- protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime now) override {
-    expire(now);
-    if (auto it = entries_.find(tuple.seq); it != entries_.end()) {
-      if (tuple.recovery_delay() < it->second.tuple.recovery_delay()) {
-        it->second = Entry{tuple, now};
-        ++stats_.updates;
-        return true;
-      }
-      ++stats_.rejects;
-      return false;
-    }
-    if (entries_.size() >= capacity_) {
-      const auto oldest = entries_.begin();
-      if (tuple.seq < oldest->first) {
-        ++stats_.rejects;
-        return false;
-      }
-      entries_.erase(oldest);
-      ++stats_.evictions;
-    }
-    entries_.emplace(tuple.seq, Entry{tuple, now});
-    ++stats_.insertions;
-    return true;
-  }
-
-  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how, net::SeqNo,
-                                         sim::SimTime now) override {
-    expire(now);
-    return dispatch(*this, how);
-  }
-
- private:
-  struct Entry {
-    RecoveryTuple tuple;
-    sim::SimTime stored_at;
-  };
-
-  void expire(sim::SimTime now) {
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (now - it->second.stored_at > ttl_) {
-        it = entries_.erase(it);
-        ++stats_.expirations;
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  sim::SimTime ttl_;
-  std::map<net::SeqNo, Entry> entries_;
-};
-
-// ---------------------------------------------------------------------------
-// confidence — each tuple is weighted by the §4.2 inference posterior of
-// the loss it recovered (how sure the topology inference is about *where*
-// that loss happened). A full cache evicts the least-trusted tuple, and a
-// low-confidence newcomer cannot displace a trusted resident.
-
-class ConfidencePolicy final : public CachePolicy {
- public:
-  ConfidencePolicy(std::size_t capacity, const CacheSideInfo* side,
-                   net::NodeId owner, net::NodeId source)
-      : CachePolicy(capacity), side_(side), owner_(owner), source_(source) {}
-
-  std::optional<RecoveryTuple> most_recent() const override {
-    if (entries_.empty()) return std::nullopt;
-    return entries_.rbegin()->second.tuple;
-  }
-
-  std::optional<RecoveryTuple> most_frequent() const override {
-    std::vector<const RecoveryTuple*> by_seq;
-    by_seq.reserve(entries_.size());
-    for (const auto& [seq, e] : entries_) by_seq.push_back(&e.tuple);
-    return most_frequent_of(by_seq);
-  }
-
-  std::size_t size() const override { return entries_.size(); }
-
-  void snapshot(std::vector<RecoveryTuple>* out) const override {
-    for (const auto& [seq, e] : entries_) out->push_back(e.tuple);
-  }
-
- protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime) override {
-    const double weight = weight_of(tuple);
-    if (auto it = entries_.find(tuple.seq); it != entries_.end()) {
-      // Same packet: a more trusted tuple wins; equal trust falls back to
-      // the §3.1 optimality objective.
-      if (weight > it->second.weight ||
-          (weight == it->second.weight &&
-           tuple.recovery_delay() < it->second.tuple.recovery_delay())) {
-        it->second = Entry{tuple, weight};
-        ++stats_.updates;
-        return true;
-      }
-      ++stats_.rejects;
-      return false;
-    }
-    if (entries_.size() >= capacity_) {
-      auto victim = entries_.begin();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it)
-        if (it->second.weight < victim->second.weight) victim = it;
-      if (weight < victim->second.weight) {
-        ++stats_.rejects;
-        return false;
-      }
-      entries_.erase(victim);
-      ++stats_.evictions;
-    }
-    entries_.emplace(tuple.seq, Entry{tuple, weight});
-    ++stats_.insertions;
-    return true;
-  }
-
-  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how, net::SeqNo,
-                                         sim::SimTime) override {
-    return dispatch(*this, how);
-  }
-
- private:
-  struct Entry {
-    RecoveryTuple tuple;
-    double weight = 1.0;
-  };
-
-  double weight_of(const RecoveryTuple& tuple) const {
-    return side_ ? side_->confidence(owner_, source_, tuple.seq) : 1.0;
-  }
-
-  const CacheSideInfo* side_;
-  net::NodeId owner_;
-  net::NodeId source_;
-  std::map<net::SeqNo, Entry> entries_;
 };
 
 // ---------------------------------------------------------------------------
@@ -498,12 +184,12 @@ class ShardedPolicy final : public CachePolicy {
   }
 
  protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime now) override {
-    return shards_[shard_of(tuple)]->update(tuple, now);
+  bool do_update(const RecoveryTuple& tuple) override {
+    return shards_[shard_of(tuple)]->update(tuple);
   }
 
-  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how, net::SeqNo,
-                                         sim::SimTime) override {
+  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how,
+                                         net::SeqNo) override {
     return dispatch(*this, how);
   }
 
@@ -525,56 +211,25 @@ class ShardedPolicy final : public CachePolicy {
 // a fresh loss first asks which link really dropped it and answers with
 // the tuple cached for that exact link; only when that link has no cached
 // recovery does it fall back to the §3.2 selector. Storage and
-// replacement follow recency, so the gap to the recency row isolates how
-// much better a cache could possibly steer expedited recoveries.
+// replacement are recency's own — the oracle adds only the link index —
+// so the gap to the recency row isolates how much better a cache could
+// possibly steer expedited recoveries.
 
-class OraclePolicy final : public CachePolicy {
+class OraclePolicy final : public RecencyPolicy {
  public:
   OraclePolicy(std::size_t capacity, const CacheSideInfo* side,
                net::NodeId owner, net::NodeId source)
-      : CachePolicy(capacity), side_(side), owner_(owner), source_(source) {}
-
-  std::optional<RecoveryTuple> most_recent() const override {
-    if (entries_.empty()) return std::nullopt;
-    return entries_.rbegin()->second;
-  }
-
-  std::optional<RecoveryTuple> most_frequent() const override {
-    std::vector<const RecoveryTuple*> by_seq;
-    by_seq.reserve(entries_.size());
-    for (const auto& [seq, tuple] : entries_) by_seq.push_back(&tuple);
-    return most_frequent_of(by_seq);
-  }
-
-  std::size_t size() const override { return entries_.size(); }
-
-  void snapshot(std::vector<RecoveryTuple>* out) const override {
-    for (const auto& [seq, tuple] : entries_) out->push_back(tuple);
-  }
+      : RecencyPolicy(capacity), side_(side), owner_(owner), source_(source) {}
 
  protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime) override {
-    if (auto it = entries_.find(tuple.seq); it != entries_.end()) {
-      if (tuple.recovery_delay() < it->second.recovery_delay()) {
-        it->second = tuple;
-        ++stats_.updates;
-        return true;
-      }
-      ++stats_.rejects;
-      return false;
-    }
-    if (entries_.size() >= capacity_) {
-      const auto oldest = entries_.begin();
-      if (tuple.seq < oldest->first) {
-        ++stats_.rejects;
-        return false;
-      }
-      forget_links_of(oldest->first);
-      entries_.erase(oldest);
-      ++stats_.evictions;
-    }
-    entries_.emplace(tuple.seq, tuple);
-    ++stats_.insertions;
+  bool do_update(const RecoveryTuple& tuple) override {
+    const bool fresh = !entries_.contains(tuple.seq);
+    if (!RecencyPolicy::do_update(tuple)) return false;
+    if (!fresh) return true;  // improved in place: the index is unchanged
+    // An admission may have evicted the oldest tuple; unindex it.
+    std::erase_if(by_link_, [this](const auto& link_seq) {
+      return !entries_.contains(link_seq.second);
+    });
     if (side_) {
       const net::LinkId link = side_->drop_link(owner_, source_, tuple.seq);
       if (link != net::kInvalidLink) by_link_[link] = tuple.seq;
@@ -583,35 +238,19 @@ class OraclePolicy final : public CachePolicy {
   }
 
   std::optional<RecoveryTuple> do_select(ExpeditionPolicy how,
-                                         net::SeqNo lost_seq,
-                                         sim::SimTime) override {
+                                         net::SeqNo lost_seq) override {
     if (side_ && lost_seq != net::kNoSeq) {
       const net::LinkId link = side_->drop_link(owner_, source_, lost_seq);
-      if (link != net::kInvalidLink) {
-        if (auto it = by_link_.find(link); it != by_link_.end()) {
-          const auto eit = entries_.find(it->second);
-          CESRM_CHECK(eit != entries_.end());
-          return eit->second;
-        }
-      }
+      if (const auto it = by_link_.find(link); it != by_link_.end())
+        return entries_.at(it->second);
     }
     return dispatch(*this, how);
   }
 
  private:
-  void forget_links_of(net::SeqNo seq) {
-    for (auto it = by_link_.begin(); it != by_link_.end();) {
-      if (it->second == seq)
-        it = by_link_.erase(it);
-      else
-        ++it;
-    }
-  }
-
   const CacheSideInfo* side_;
   net::NodeId owner_;
   net::NodeId source_;
-  std::map<net::SeqNo, RecoveryTuple> entries_;
   /// Most recent cached seq whose loss the keyed link truly caused.
   std::map<net::LinkId, net::SeqNo> by_link_;
 };
@@ -637,23 +276,21 @@ CachePolicyKind parse_cache_policy(const std::string& name) {
 }
 
 bool cache_policy_needs_side_info(CachePolicyKind kind) {
-  return kind == CachePolicyKind::kConfidence ||
-         kind == CachePolicyKind::kOracle;
+  return kind == CachePolicyKind::kOracle;
 }
 
-const char* cache_policies_needing_side_info() { return "confidence, oracle"; }
+const char* cache_policies_needing_side_info() { return "oracle"; }
 
-bool CachePolicy::update(const RecoveryTuple& tuple, sim::SimTime now) {
+bool CachePolicy::update(const RecoveryTuple& tuple) {
   CESRM_CHECK(tuple.seq >= 0);
   CESRM_CHECK(tuple.requestor != net::kInvalidNode);
   CESRM_CHECK(tuple.replier != net::kInvalidNode);
-  return do_update(tuple, now);
+  return do_update(tuple);
 }
 
 std::optional<RecoveryTuple> CachePolicy::select(ExpeditionPolicy how,
-                                                 net::SeqNo lost_seq,
-                                                 sim::SimTime now) {
-  auto picked = do_select(how, lost_seq, now);
+                                                 net::SeqNo lost_seq) {
+  auto picked = do_select(how, lost_seq);
   if (picked)
     ++stats_.hits;
   else
@@ -668,15 +305,6 @@ std::unique_ptr<CachePolicy> make_cache_policy(const CacheConfig& config,
   switch (config.policy) {
     case CachePolicyKind::kRecency:
       return std::make_unique<RecencyPolicy>(config.capacity);
-    case CachePolicyKind::kLru:
-      return std::make_unique<LruPolicy>(config.capacity);
-    case CachePolicyKind::kLfu:
-      return std::make_unique<LfuPolicy>(config.capacity);
-    case CachePolicyKind::kTtl:
-      return std::make_unique<TtlPolicy>(config.capacity, config.ttl);
-    case CachePolicyKind::kConfidence:
-      return std::make_unique<ConfidencePolicy>(
-          config.capacity, config.side_info, owner, source);
     case CachePolicyKind::kSharded:
       return std::make_unique<ShardedPolicy>(config.capacity, config.shards);
     case CachePolicyKind::kOracle:

@@ -4,19 +4,9 @@
 // The paper fixes one requestor/replier cache design: keep the optimal
 // tuple per packet, evict by packet recency. This header factors the
 // storage / replacement / lookup decisions into a CachePolicy interface
-// so that alternative replacement schemes (in the spirit of Jain's
-// DEC-TR-592 cache-policy comparison) can be evaluated against it:
+// so the paper's scheme can be compared against two reference variants:
 //
 //   recency     — the paper's scheme, bit-exact with the legacy cache;
-//   lru         — evict the least-recently-*accessed* tuple (access =
-//                 update or selection), not the least recent packet;
-//   lfu         — evict the least-frequently-accessed tuple, ties to the
-//                 older packet;
-//   ttl         — recency plus lazy expiry of tuples older than a TTL
-//                 (stale pairs stop steering expedited recoveries);
-//   confidence  — weight each tuple by the §4.2 inference posterior of
-//                 the loss it recovered; evict the least-trusted tuple
-//                 and refuse to displace trusted ones with weaker ones;
 //   sharded     — per-subtree sub-caches (keyed by the tuple's turning
 //                 point), each running recency over its capacity share;
 //   oracle      — upper bound: indexes tuples by the *true* injected
@@ -24,10 +14,11 @@
 //                 lookup for a new loss with the tuple cached for that
 //                 exact link.
 //
-// Policies needing out-of-band knowledge (confidence, oracle) read it
-// through CacheSideInfo, which the harness implements on top of
-// infer::LinkTraceRepresentation; without side info they degrade to
-// recency-equivalent behavior.
+// The oracle reads its out-of-band knowledge through CacheSideInfo, which
+// the harness implements on top of infer::LinkTraceRepresentation;
+// without side info it degrades to recency behavior. DESIGN.md §11 has
+// the measurements that ruled out other replacement rules (LRU, LFU, TTL,
+// §4.2 confidence).
 #pragma once
 
 #include <array>
@@ -40,7 +31,6 @@
 
 #include "net/ids.hpp"
 #include "net/packet.hpp"
-#include "sim/time.hpp"
 
 namespace cesrm::cesrm {
 
@@ -80,19 +70,14 @@ struct RecoveryTuple {
 };
 
 enum class CachePolicyKind {
-  kRecency,     ///< legacy §3.1 behavior (the default)
-  kLru,
-  kLfu,
-  kTtl,
-  kConfidence,
+  kRecency,  ///< legacy §3.1 behavior (the default)
   kSharded,
   kOracle,
 };
 
-inline constexpr std::array<CachePolicyKind, 7> kAllCachePolicyKinds = {
-    CachePolicyKind::kRecency,    CachePolicyKind::kLru,
-    CachePolicyKind::kLfu,        CachePolicyKind::kTtl,
-    CachePolicyKind::kConfidence, CachePolicyKind::kSharded,
+inline constexpr std::array<CachePolicyKind, 3> kAllCachePolicyKinds = {
+    CachePolicyKind::kRecency,
+    CachePolicyKind::kSharded,
     CachePolicyKind::kOracle,
 };
 
@@ -104,8 +89,8 @@ std::optional<CachePolicyKind> try_parse_cache_policy(
 /// Throws util::CheckError listing the valid spellings on bad input.
 CachePolicyKind parse_cache_policy(const std::string& name);
 
-/// True for policies that are pointless without CacheSideInfo (confidence,
-/// oracle): they degrade to recency-like behavior when none is installed.
+/// True for policies that are pointless without CacheSideInfo (oracle):
+/// they degrade to recency behavior when none is installed.
 /// Front ends use this to fail fast with a friendly message in contexts
 /// that cannot provide side info, instead of silently degrading (or
 /// crashing deep in a factory).
@@ -113,23 +98,13 @@ bool cache_policy_needs_side_info(CachePolicyKind kind);
 /// The side-info-requiring policy names, comma-joined — for messages.
 const char* cache_policies_needing_side_info();
 
-/// Out-of-band knowledge for the confidence and oracle policies. The
-/// harness backs this with the synthetic trace's link representation
-/// (infer::LinkTraceRepresentation); defaults make both policies degrade
+/// Out-of-band knowledge for the oracle policy. The harness backs this
+/// with the synthetic trace's link representation
+/// (infer::LinkTraceRepresentation); the default makes the oracle degrade
 /// gracefully when nothing is known.
 class CacheSideInfo {
  public:
   virtual ~CacheSideInfo() = default;
-
-  /// Posterior confidence (0..1] that the §4.2 inference correctly
-  /// attributes the loss of (`source`, `seq`) as seen by `observer`.
-  virtual double confidence(net::NodeId observer, net::NodeId source,
-                            net::SeqNo seq) const {
-    (void)observer;
-    (void)source;
-    (void)seq;
-    return 1.0;
-  }
 
   /// The true injected link responsible for `observer` losing
   /// (`source`, `seq`); kInvalidLink when the packet was received or the
@@ -148,25 +123,22 @@ struct CacheConfig {
   CachePolicyKind policy = CachePolicyKind::kRecency;
   /// Per-source cache capacity, >= 1 (shared across shards for kSharded).
   std::size_t capacity = 16;
-  /// kTtl: tuples stored longer than this are lazily expired.
-  sim::SimTime ttl = sim::SimTime::seconds(30);
   /// kSharded: number of per-subtree sub-caches, >= 1.
   std::size_t shards = 4;
-  /// Non-owning; must outlive the caches. Consulted by kConfidence and
-  /// kOracle (null → both degrade toward recency behavior).
+  /// Non-owning; must outlive the caches. Consulted by kOracle (null →
+  /// it degrades to recency behavior).
   const CacheSideInfo* side_info = nullptr;
 };
 
 /// Cache-effectiveness counters, aggregated per cache and summed per host
 /// into HostStats / the MetricsRegistry.
 struct CacheStats {
-  std::uint64_t hits = 0;         ///< selections that produced a pair
-  std::uint64_t misses = 0;       ///< selections from an empty/dry cache
-  std::uint64_t insertions = 0;   ///< tuples newly admitted
-  std::uint64_t updates = 0;      ///< same-packet tuples improved in place
-  std::uint64_t evictions = 0;    ///< tuples displaced by replacement
-  std::uint64_t expirations = 0;  ///< tuples dropped by TTL expiry
-  std::uint64_t rejects = 0;      ///< update attempts refused admission
+  std::uint64_t hits = 0;        ///< selections that produced a pair
+  std::uint64_t misses = 0;      ///< selections from an empty/dry cache
+  std::uint64_t insertions = 0;  ///< tuples newly admitted
+  std::uint64_t updates = 0;     ///< same-packet tuples improved in place
+  std::uint64_t evictions = 0;   ///< tuples displaced by replacement
+  std::uint64_t rejects = 0;     ///< update attempts refused admission
 
   CacheStats& operator+=(const CacheStats& o) {
     hits += o.hits;
@@ -174,7 +146,6 @@ struct CacheStats {
     insertions += o.insertions;
     updates += o.updates;
     evictions += o.evictions;
-    expirations += o.expirations;
     rejects += o.rejects;
     return *this;
   }
@@ -193,17 +164,16 @@ class CachePolicy {
   CachePolicy& operator=(const CachePolicy&) = delete;
 
   /// §3.1 update on a reply for a packet this host lost. Returns true if
-  /// the cache changed. `now` feeds time-aware policies (TTL, LRU).
-  bool update(const RecoveryTuple& tuple, sim::SimTime now);
+  /// the cache changed.
+  bool update(const RecoveryTuple& tuple);
 
   /// Applies the expedition policy for a fresh loss of `lost_seq`;
-  /// nullopt when the cache has nothing to offer. Counts hits/misses and
-  /// lets access-aware policies (LRU, LFU) observe the touch.
+  /// nullopt when the cache has nothing to offer. Counts hits/misses.
   std::optional<RecoveryTuple> select(ExpeditionPolicy how,
-                                      net::SeqNo lost_seq, sim::SimTime now);
+                                      net::SeqNo lost_seq);
 
-  /// Read-only §3.2 selectors (no stats, no access bookkeeping) — used by
-  /// diagnostics and the fault oracle, which must not perturb the cache.
+  /// Read-only §3.2 selectors (no stats) — used by diagnostics and the
+  /// fault oracle, which must not perturb the cache.
   virtual std::optional<RecoveryTuple> most_recent() const = 0;
   virtual std::optional<RecoveryTuple> most_frequent() const = 0;
 
@@ -217,10 +187,9 @@ class CachePolicy {
   virtual CacheStats stats() const { return stats_; }
 
  protected:
-  virtual bool do_update(const RecoveryTuple& tuple, sim::SimTime now) = 0;
+  virtual bool do_update(const RecoveryTuple& tuple) = 0;
   virtual std::optional<RecoveryTuple> do_select(ExpeditionPolicy how,
-                                                 net::SeqNo lost_seq,
-                                                 sim::SimTime now) = 0;
+                                                 net::SeqNo lost_seq) = 0;
 
   std::size_t capacity_;
   CacheStats stats_;

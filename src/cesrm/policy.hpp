@@ -34,9 +34,9 @@ std::optional<ExpeditionPolicy> try_parse_policy(const std::string& name);
 ExpeditionPolicy parse_policy(const std::string& name);
 
 /// Applies `policy` to `cache`; nullopt when the cache is empty. Purely
-/// read-only — no stats, no access bookkeeping (the fault oracle uses
-/// this on live caches it must not perturb; the agent's selection path
-/// goes through RecoveryCache::select instead).
+/// read-only — no stats (the fault oracle uses this on live caches it
+/// must not perturb; the agent's selection path goes through
+/// RecoveryCache::select instead).
 std::optional<RecoveryTuple> select_pair(const RecoveryCache& cache,
                                          ExpeditionPolicy policy);
 

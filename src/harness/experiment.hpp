@@ -52,7 +52,8 @@ struct ExperimentConfig {
   /// an empty plan leaves behaviour byte-identical to a build without the
   /// fault subsystem). A non-empty plan also arms the InvariantOracle:
   /// liveness/safety violations throw util::CheckError, prefixed with a
-  /// reproduction line naming trace, seed, protocol, and plan.
+  /// reproduction line naming trace, protocol, seed, packets, plan,
+  /// durable mode, cache policy, and lossy-recovery flag.
   fault::FaultPlan faults;
   /// Extra time budget after the nominal horizon for faulted runs; the
   /// plan's own horizon_slack() is always added on top of this.
@@ -67,15 +68,6 @@ struct ExperimentConfig {
   /// compile down to a null-pointer check and the run's behaviour and
   /// output are identical to a build without the obs subsystem).
   obs::ObsConfig observe;
-  /// Intra-run parallelism: 0 (default) runs the classic single-threaded
-  /// simulator, byte-identical to every previous release; N >= 1 shards
-  /// the tree over N event queues driven by N threads under conservative
-  /// link-delay lookahead windows (sim::ShardedEngine). Sharded results
-  /// and artifacts are deterministic and identical for EVERY N >= 1 —
-  /// shards=1 is the reference the invariance tests compare against.
-  /// Restrictions (CHECKed): no lossy_recovery, no durability, no
-  /// profiling, and fault plans limited to crash/recover clauses.
-  int shards = 0;
 };
 
 /// Per-member outcome. Members are ordered source first, then receivers

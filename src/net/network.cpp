@@ -60,16 +60,7 @@ void Network::enable_sharding(sim::ShardedEngine* engine) {
 
 CrossingStats Network::total_crossings() const {
   CrossingStats total = stats_;
-  for (const CrossingStats& s : shard_stats_) {
-    for (std::size_t i = 0; i < kPacketTypeCount; ++i) {
-      total.multicast[i] += s.multicast[i];
-      total.unicast[i] += s.unicast[i];
-      total.subcast[i] += s.subcast[i];
-      total.dropped[i] += s.dropped[i];
-      total.duplicated[i] += s.duplicated[i];
-      total.wire_bytes[i] += s.wire_bytes[i];
-    }
-  }
+  for (const CrossingStats& s : shard_stats_) total += s;
   return total;
 }
 

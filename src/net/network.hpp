@@ -90,6 +90,18 @@ struct CrossingStats {
   std::uint64_t wire_bytes_of(PacketType t) const {
     return wire_bytes[static_cast<std::size_t>(t)];
   }
+
+  CrossingStats& operator+=(const CrossingStats& o) {
+    for (std::size_t i = 0; i < kPacketTypeCount; ++i) {
+      multicast[i] += o.multicast[i];
+      unicast[i] += o.unicast[i];
+      subcast[i] += o.subcast[i];
+      dropped[i] += o.dropped[i];
+      duplicated[i] += o.duplicated[i];
+      wire_bytes[i] += o.wire_bytes[i];
+    }
+    return *this;
+  }
 };
 
 class Network : public Transport {

@@ -37,17 +37,6 @@ struct Member {
         transport(reactor, tree, plan, shim, n) {}
 };
 
-void add_crossings(net::CrossingStats* into, const net::CrossingStats& from) {
-  for (std::size_t i = 0; i < net::kPacketTypeCount; ++i) {
-    into->multicast[i] += from.multicast[i];
-    into->unicast[i] += from.unicast[i];
-    into->subcast[i] += from.subcast[i];
-    into->dropped[i] += from.dropped[i];
-    into->duplicated[i] += from.duplicated[i];
-    into->wire_bytes[i] += from.wire_bytes[i];
-  }
-}
-
 void check_rate(double rate, const char* flag) {
   CESRM_CHECK_MSG(rate >= 0.0 && rate < 1.0,
                   "bad " << flag << " " << rate
@@ -205,7 +194,7 @@ NetioRunResult run_netio(const NetioRunConfig& config) {
     result.members.push_back(std::move(member));
     result.events_executed += m->reactor.sim().events_executed();
     result.sim_end = std::max(result.sim_end, m->reactor.sim().now());
-    add_crossings(&result.crossings, m->transport.crossings());
+    result.crossings += m->transport.crossings();
     out.sockets.push_back(m->transport.stats());
     if (m->recorder) {
       auto events = m->recorder->take_events();

@@ -129,7 +129,6 @@ struct HostStats {
   std::uint64_t cache_insertions = 0;
   std::uint64_t cache_updates = 0;
   std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_expirations = 0;
   std::uint64_t cache_rejects = 0;
   /// Retransmissions suppressed by the reply-dedup ledger: this member had
   /// already served the identical ⟨source, seq, requestor⟩ repair before

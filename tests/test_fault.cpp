@@ -3,11 +3,13 @@
 // crash-with-in-flight-timers regression, crash-at-boundary cases
 // (pending reply timers, cache churn under a warm durable restart,
 // back-to-back and overlapping crash clauses), the oracle's ability to
-// detect genuine liveness violations, randomized fault-plan properties,
-// and the runner's determinism contract for faulted jobs.
+// detect genuine liveness violations and name the failing run in its
+// reproduction line, randomized fault-plan properties, and the runner's
+// determinism contract for faulted jobs.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "durable/store.hpp"
 #include "fault/fault_plan.hpp"
@@ -277,8 +279,8 @@ TEST(FaultCrash, CrashWithPendingReplyTimersThenWarmRecover) {
 
 TEST(FaultCrash, WarmRestartReplaysCacheAcrossAdmissionEvictionChurn) {
   // The write-behind journal records cache admissions but not the
-  // evictions and expirations that follow (a restore re-applies the
-  // admission sequence and lets the cache's own policy re-evict), so a
+  // evictions that follow (a restore re-applies the admission sequence
+  // and lets the cache's own policy re-evict), so a
   // member that crashes mid-churn replays tuples whose cache slots had
   // already been recycled. The restore path must treat those as ordinary
   // updates — the run must stay oracle-clean with a populated, evicting
@@ -332,10 +334,10 @@ TEST(FaultCrash, BackToBackCrashRecoverOfSameMember) {
 
 // ------------------------------------------------- oracle true positives ----
 
-TEST(FaultOracle, PermanentPartitionIsReportedAsLivenessViolation) {
-  // A subtree cut that never heals leaves live receivers missing packets
-  // that live members hold — exactly the liveness violation the oracle
-  // exists to catch. The CheckError carries the reproduction line.
+/// A subtree cut that never heals: live receivers miss packets that live
+/// members hold — exactly the liveness violation the oracle exists to
+/// catch.
+fault::FaultPlan permanent_partition_plan() {
   fault::FaultPlan plan;
   fault::LinkOutage outage;
   outage.receiver_rank = 0;
@@ -343,7 +345,38 @@ TEST(FaultOracle, PermanentPartitionIsReportedAsLivenessViolation) {
   outage.down_at = workload().context.data_start;
   // up_at stays infinity(): the partition never heals.
   plan.outages.push_back(outage);
-  EXPECT_THROW(run_with_plan(Protocol::kCesrm, plan), util::CheckError);
+  return plan;
+}
+
+TEST(FaultOracle, PermanentPartitionIsReportedAsLivenessViolation) {
+  // The CheckError carries the reproduction line.
+  EXPECT_THROW(run_with_plan(Protocol::kCesrm, permanent_partition_plan()),
+               util::CheckError);
+}
+
+TEST(FaultOracle, ReproLineNamesEveryKnobOfTheFailingRun) {
+  // The [cesrm-repro] line must describe the run that failed: a violation
+  // under a warm journal, a non-default cache policy and lossy recovery
+  // prints those settings, not a recipe for a default-config run.
+  const auto& w = workload();
+  harness::ExperimentConfig cfg;
+  cfg.protocol = Protocol::kCesrm;
+  cfg.seed = 5;
+  cfg.faults = permanent_partition_plan();
+  cfg.durable.mode = durable::DurableMode::kWarm;
+  cfg.cesrm.cache.policy = cesrm::CachePolicyKind::kSharded;
+  cfg.lossy_recovery = true;
+  ::testing::internal::CaptureStderr();
+  EXPECT_THROW(run_experiment(*w.gen.loss, *w.links, cfg), util::CheckError);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  const std::size_t at = err.find("[cesrm-repro]");
+  ASSERT_NE(at, std::string::npos) << err;
+  const std::string line = err.substr(at, err.find('\n', at) - at);
+  for (const char* field :
+       {"trace=FAULT", "protocol=CESRM", "seed=5", "packets=2000",
+        "faults=\"", "durable=warm", "cache_policy=sharded",
+        "lossy_recovery=1"})
+    EXPECT_NE(line.find(field), std::string::npos) << field << " in " << line;
 }
 
 // ---------------------------------------------- randomized plan property ----

@@ -1,216 +1,17 @@
-// Shard-count invariance: a sharded experiment must produce *identical*
-// results — member stats, recovery records, crossing counters, metrics,
-// event stream, telemetry sketch — for every shard count. shards=1 is the
-// reference; {2, 4} exercise real cross-shard mailboxes and barriers on
-// randomized Table-1-style workloads and crash/recover-faulted runs.
+// ShardedEngine unit tests: conservative lookahead windows, cross-shard
+// mailbox delivery, and refusal of posts that would break the lookahead
+// contract. The engine's full-protocol workloads (cross-shard multicast
+// floods with 2 and 4 shards) are exercised by test_scale's
+// ScaleSharding suite.
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
-#include <tuple>
+#include <functional>
 
-#include "harness/experiment.hpp"
-#include "infer/link_estimator.hpp"
-#include "infer/link_trace.hpp"
-#include "obs/export.hpp"
 #include "sim/sharded.hpp"
-#include "trace/trace_generator.hpp"
 #include "util/check.hpp"
 
 namespace cesrm {
 namespace {
-
-struct Workload {
-  trace::GeneratedTrace gen;
-  std::shared_ptr<infer::LinkTraceRepresentation> links;
-};
-
-Workload make_workload(int receivers, int depth, std::uint64_t seed,
-                       int packets = 1200) {
-  trace::TraceSpec spec;
-  spec.name = "SHARD";
-  spec.receivers = receivers;
-  spec.depth = depth;
-  spec.period_ms = 40;
-  spec.packets = packets;
-  spec.losses = static_cast<std::int64_t>(packets) * receivers / 25;
-  spec.seed = seed;
-  Workload w{trace::generate_trace(spec), nullptr};
-  const auto est = infer::estimate_links_yajnik(*w.gen.loss);
-  w.links = std::make_shared<infer::LinkTraceRepresentation>(*w.gen.loss,
-                                                             est.loss_rate);
-  return w;
-}
-
-/// Deep fingerprint of everything an experiment exports. Two runs with
-/// equal fingerprints are indistinguishable to every report, bench
-/// artifact, and figure in the repo.
-std::string fingerprint(const harness::ExperimentResult& r) {
-  std::ostringstream os;
-  os << "exec=" << r.events_executed << " end=" << r.sim_end.ns()
-     << " sent=" << r.packets_sent << "\n";
-  for (const auto& m : r.members) {
-    os << "m " << m.node << (m.is_source ? " src" : "")
-       << (m.failed ? " failed" : "") << " rtt=" << m.rtt_to_source << " "
-       << m.stats.data_sent << " " << m.stats.session_sent << " "
-       << m.stats.requests_sent << " " << m.stats.replies_sent << " "
-       << m.stats.exp_requests_sent << " " << m.stats.exp_replies_sent << " "
-       << m.stats.exp_requests_cancelled << " "
-       << m.stats.duplicate_replies_received << " "
-       << m.stats.requests_received << " " << m.stats.losses_detected << " "
-       << m.stats.repairs_before_detection << " "
-       << m.stats.losses_abandoned_at_crash << " "
-       << m.stats.wire_packets_decoded << " " << m.stats.cache_hits << " "
-       << m.stats.cache_misses << "\n";
-    for (const auto& rec : m.stats.recoveries)
-      os << "  r " << rec.source << ":" << rec.seq << " "
-         << rec.detect_time.ns() << ".." << rec.recover_time.ns()
-         << (rec.recovered ? " ok" : " lost")
-         << (rec.expedited ? " exp" : "") << " rounds=" << rec.rounds << "\n";
-  }
-  const auto dump = [&os](const char* tag, const auto& arr) {
-    os << tag;
-    for (auto v : arr) os << " " << v;
-    os << "\n";
-  };
-  dump("multicast", r.crossings.multicast);
-  dump("unicast", r.crossings.unicast);
-  dump("subcast", r.crossings.subcast);
-  dump("dropped", r.crossings.dropped);
-  dump("wire_bytes", r.crossings.wire_bytes);
-  r.metrics.to_json(os);
-  os << "\n";
-  if (r.events) obs::write_events_jsonl(os, *r.events);
-  if (r.sketch) r.sketch->to_json(os);
-  return os.str();
-}
-
-harness::ExperimentConfig shard_config(Protocol protocol, std::uint64_t seed,
-                                       int shards) {
-  harness::ExperimentConfig cfg;
-  cfg.protocol = protocol;
-  cfg.seed = seed;
-  cfg.shards = shards;
-  cfg.observe.trace = true;
-  cfg.observe.metrics = true;
-  cfg.observe.stream = true;
-  return cfg;
-}
-
-// --------------------------------------------------- fault-free sweeps ----
-
-class ShardInvariance
-    : public ::testing::TestWithParam<std::tuple<int, int, std::uint64_t>> {};
-
-TEST_P(ShardInvariance, ArtifactsIdenticalAcrossShardCounts) {
-  const auto [receivers, depth, seed] = GetParam();
-  const Workload w = make_workload(receivers, depth, seed);
-  for (Protocol protocol : {Protocol::kSrm, Protocol::kCesrm}) {
-    const auto run = [&](int shards) {
-      return harness::run_experiment(*w.gen.loss, *w.links,
-                                     shard_config(protocol, seed, shards));
-    };
-    const auto ref = run(1);
-    const std::string want = fingerprint(ref);
-    ASSERT_FALSE(want.empty());
-    // The sharded path must also be *correct*, not merely self-consistent.
-    EXPECT_EQ(ref.total_losses_detected() + ref.total_silent_repairs(),
-              w.gen.loss->total_losses());
-    EXPECT_EQ(ref.total_unrecovered(), 0u);
-    for (int shards : {2, 4}) {
-      EXPECT_EQ(want, fingerprint(run(shards)))
-          << "protocol=" << protocol_name(protocol) << " shards=" << shards;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ShardInvariance,
-    ::testing::Values(std::make_tuple(6, 3, 21u), std::make_tuple(10, 5, 22u),
-                      std::make_tuple(15, 7, 23u),
-                      std::make_tuple(12, 4, 24u)));
-
-// ------------------------------------------------------- faulted sweeps ----
-
-class ShardInvarianceFaulted : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(ShardInvarianceFaulted, CrashRecoverRunsIdenticalAcrossShardCounts) {
-  const std::uint64_t seed = GetParam();
-  const Workload w = make_workload(10, 5, seed, 1500);
-  fault::FaultPlan plan;
-  plan.crashes.push_back(
-      {static_cast<int>(seed % 10), sim::SimTime::seconds(12),
-       sim::SimTime::seconds(30)});
-  plan.crashes.push_back({static_cast<int>((seed + 3) % 10),
-                          sim::SimTime::seconds(20),
-                          sim::SimTime::infinity()});
-  for (Protocol protocol : {Protocol::kSrm, Protocol::kCesrm}) {
-    const auto run = [&](int shards) {
-      auto cfg = shard_config(protocol, seed, shards);
-      cfg.faults = plan;
-      return harness::run_experiment(*w.gen.loss, *w.links, cfg);
-    };
-    const std::string want = fingerprint(run(1));
-    EXPECT_NE(want.find("fault_applied"), std::string::npos);
-    for (int shards : {2, 4}) {
-      EXPECT_EQ(want, fingerprint(run(shards)))
-          << "protocol=" << protocol_name(protocol) << " shards=" << shards;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardInvarianceFaulted,
-                         ::testing::Values(31u, 32u, 33u));
-
-// -------------------------------------------------------- restrictions ----
-
-TEST(ShardRestrictions, UnsupportedModesAreRejected) {
-  const Workload w = make_workload(4, 2, 41u, 200);
-  const auto expect_reject = [&](harness::ExperimentConfig cfg) {
-    cfg.shards = 2;
-    EXPECT_THROW(harness::run_experiment(*w.gen.loss, *w.links, cfg),
-                 util::CheckError);
-  };
-  {
-    harness::ExperimentConfig cfg;
-    cfg.lossy_recovery = true;
-    expect_reject(cfg);
-  }
-  {
-    harness::ExperimentConfig cfg;
-    cfg.observe.profile = true;
-    expect_reject(cfg);
-  }
-  {
-    harness::ExperimentConfig cfg;
-    cfg.faults.outages.push_back(
-        {0, 0, sim::SimTime::seconds(10), sim::SimTime::seconds(20)});
-    expect_reject(cfg);
-  }
-}
-
-// A legacy (shards=0) run and a sharded run agree on loss accounting:
-// event interleavings may differ (ties break by deterministic tags rather
-// than insertion order), but both recover everything the trace withheld.
-TEST(ShardRestrictions, ShardedAgreesWithLegacyOnLossAccounting) {
-  const Workload w = make_workload(8, 4, 42u);
-  for (Protocol protocol : {Protocol::kSrm, Protocol::kCesrm}) {
-    harness::ExperimentConfig cfg;
-    cfg.protocol = protocol;
-    cfg.seed = 42;
-    const auto legacy = harness::run_experiment(*w.gen.loss, *w.links, cfg);
-    cfg.shards = 2;
-    const auto sharded = harness::run_experiment(*w.gen.loss, *w.links, cfg);
-    EXPECT_EQ(
-        sharded.total_losses_detected() + sharded.total_silent_repairs(),
-        legacy.total_losses_detected() + legacy.total_silent_repairs());
-    EXPECT_EQ(sharded.total_unrecovered(), 0u);
-    EXPECT_EQ(sharded.packets_sent, legacy.packets_sent);
-  }
-}
-
-// --------------------------------------------------- engine unit tests ----
 
 TEST(ShardedEngine, WindowsAdvanceAndMailboxesDeliver) {
   // Two locations on two shards exchanging ping-pong events at exactly the

@@ -17,7 +17,7 @@
 //
 //   simulate  --in=FILE [--protocol=srm|cesrm] [--router-assist]
 //             [--policy=most-recent|most-frequent] [--adaptive]
-//             [--cache-policy=recency|lru|lfu|ttl|confidence|sharded|oracle]
+//             [--cache-policy=recency|sharded|oracle]
 //       Replay the trace under one protocol and print the recovery
 //       summary.
 //
