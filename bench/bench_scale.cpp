@@ -16,8 +16,8 @@
 // ignores metrics present on one side only).
 //
 // Wall-clock metrics (events/s, wall time) vary with the host; the
-// deterministic metrics (bytes/receiver, recovery p99, session crossings)
-// are exact and reproduce bit-identically for any --shards value.
+// deterministic metrics (bytes/receiver, recovery p99, session crossings,
+// events scheduled, queue and heap high-water marks) are exact.
 
 #include <algorithm>
 #include <cstdint>
@@ -168,6 +168,14 @@ int main(int argc, char** argv) {
       report(key + "_events_per_sec", r.events_per_second(), "events/s",
              "higher");
       report(key + "_wall", r.wall_seconds, "s", "lower");
+      // Deterministic event-queue work: events scheduled, peak pending
+      // events and peak heap entries (the rest wait in per-link lanes).
+      report(key + "_events_scheduled",
+             static_cast<double>(r.events_scheduled), "events", "lower");
+      report(key + "_queue_high_water",
+             static_cast<double>(r.queue_high_water), "events", "lower");
+      report(key + "_heap_high_water",
+             static_cast<double>(r.heap_high_water), "entries", "lower");
       report(key + "_bytes_per_receiver", r.bytes_per_receiver,
              "bytes/receiver", "lower");
       report(key + "_recovery_p99",

@@ -2,7 +2,8 @@
 //
 // Times the three hot layers the Table-1 sweeps live on: the event queue
 // (schedule/pop throughput and the SRM-style cancel-heavy churn), the
-// multicast flood path in net::Network, and an end-to-end capped Table-1
+// multicast flood path in net::Network (one flood at a time, and a
+// backlog of thousands injected at once), and an end-to-end capped Table-1
 // sweep through the ExperimentRunner at --jobs=1 and --jobs=N. Writes the
 // measurements to --out as JSON (schema "cesrm-simcore-bench/1"); the
 // copy committed at the repo root (BENCH_simcore.json) is the baseline
@@ -136,6 +137,27 @@ double bench_multicast_flood(int reps) {
       });
 }
 
+double bench_flood_backlog(int reps) {
+  // The request-storm shape at scale: thousands of floods injected at one
+  // instant queue behind each other on every link, so the event core
+  // holds a deep backlog instead of one flood's wavefront. Same tree as
+  // multicast_flood.
+  util::Rng rng(7);
+  net::TreeShape shape;
+  shape.receivers = 64;
+  shape.depth = 8;
+  const auto tree = net::build_random_tree(shape, rng);
+  constexpr int kFloods = 4096;
+  return best_throughput(
+      reps, static_cast<std::uint64_t>(kFloods) * tree.link_count(), [&] {
+        sim::Simulator sim;
+        net::Network network(sim, tree, {});
+        for (int f = 0; f < kFloods; ++f)
+          network.multicast(tree.root(), net::make_data_packet(tree.root(), f));
+        sim.run();
+      });
+}
+
 double bench_table1_sweep(const bench::BenchOptions& opts, unsigned jobs) {
   bench::BenchOptions run_opts = opts;
   run_opts.jobs = jobs;
@@ -221,6 +243,7 @@ int main(int argc, char** argv) {
          "higher");
   report("timer_churn", bench_timer_churn(reps), "arms/s", "higher");
   report("multicast_flood", bench_multicast_flood(reps), "hops/s", "higher");
+  report("flood_backlog", bench_flood_backlog(reps), "hops/s", "higher");
   if (!flags.get_bool("skip-table1")) {
     report("table1_sweep_jobs1", bench_table1_sweep(opts, 1), "s", "lower");
     report("table1_sweep_jobsN", bench_table1_sweep(opts, jobs_n), "s",

@@ -252,8 +252,17 @@ ScaleResult run_scale(const ScaleConfig& config) {
   r.receivers = config.receivers;
   r.blocks = blocks;
   r.tree_nodes = tree.size();
-  r.events_executed =
-      engine ? engine->events_executed() : flat_sim.events_executed();
+  if (engine) {
+    r.events_executed = engine->events_executed();
+    r.events_scheduled = engine->events_scheduled();
+    r.queue_high_water = engine->queue_high_water();
+    r.heap_high_water = engine->heap_high_water();
+  } else {
+    r.events_executed = flat_sim.events_executed();
+    r.events_scheduled = flat_sim.events_scheduled();
+    r.queue_high_water = flat_sim.queue_high_water();
+    r.heap_high_water = flat_sim.heap_high_water();
+  }
   r.wall_seconds = wall;
 
   obs::LogHistogram latency;

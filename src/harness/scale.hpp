@@ -59,6 +59,13 @@ struct ScaleResult {
   std::uint64_t blocks = 0;
   std::uint64_t tree_nodes = 0;
   std::uint64_t events_executed = 0;
+  /// Event-queue work, summed (scheduled) or maxed (peaks) over shards:
+  /// events ever scheduled, peak pending events and peak heap entries.
+  /// The heap peak sits far below the pending peak because each link's
+  /// queued hops wait in a FIFO lane behind one heap entry.
+  std::uint64_t events_scheduled = 0;
+  std::uint64_t queue_high_water = 0;
+  std::uint64_t heap_high_water = 0;
   double wall_seconds = 0;  ///< host timing — never part of determinism
 
   // --- recovery outcome over all members ---

@@ -20,7 +20,7 @@ Network::Network(sim::Simulator& sim, const MulticastTree& tree,
       tree_(tree),
       config_(config),
       agents_(tree.size(), nullptr),
-      busy_(tree.size(), {sim::SimTime::zero(), sim::SimTime::zero()}),
+      busy_(2 * tree.size(), sim::SimTime::zero()),
       link_up_(tree.size(), 1) {
   CESRM_CHECK(config_.link_bandwidth_bps > 0.0);
   CESRM_CHECK(config_.link_delay >= sim::SimTime::zero());
@@ -64,12 +64,12 @@ CrossingStats Network::total_crossings() const {
   return total;
 }
 
-sim::SimTime& Network::busy_until(NodeId from, NodeId to) {
+std::uint32_t Network::link_dir(NodeId from, NodeId to) const {
   // The edge is identified by its child endpoint; direction 0 = downstream.
-  if (tree_.parent(to) == from) return busy_[static_cast<std::size_t>(to)][0];
+  if (tree_.parent(to) == from) return 2 * static_cast<std::uint32_t>(to);
   CESRM_CHECK_MSG(tree_.parent(from) == to,
                   "not a tree edge: " << from << " -> " << to);
-  return busy_[static_cast<std::size_t>(from)][1];
+  return 2 * static_cast<std::uint32_t>(from) + 1;
 }
 
 sim::SimTime Network::serialization_time(int size_bytes) {
@@ -89,8 +89,8 @@ sim::SimTime Network::serialization_time(int size_bytes) {
   return tx;
 }
 
-sim::SimTime Network::transmit(NodeId from, NodeId to, int size_bytes) {
-  sim::SimTime& busy = busy_until(from, to);
+sim::SimTime Network::transmit(std::uint32_t dir, int size_bytes) {
+  sim::SimTime& busy = busy_[dir];
   const sim::SimTime start = std::max(cur_sim().now(), busy);
   const sim::SimTime tx = serialization_time(size_bytes);
   busy = start + tx;
@@ -126,25 +126,30 @@ void Network::send_hop(NodeId from, NodeId to, const PacketRef& pkt,
   }
   stats.wire_bytes[type_idx] += pkt->encoded_size();
   if (crossing_lost(*pkt, from, to)) return;
-  sim::SimTime arrival = transmit(from, to, pkt->size_bytes);
+  const std::uint32_t lane = link_dir(from, to);
+  sim::SimTime arrival = transmit(lane, pkt->size_bytes);
   if (perturb_fn_) {
     const Perturbation p = perturb_fn_(*pkt, from, to);
     CESRM_CHECK(p.extra_delay >= sim::SimTime::zero());
     arrival += p.extra_delay;
     if (p.duplicate) {
       ++stats.duplicated[type_idx];
-      const sim::SimTime dup_arrival = transmit(from, to, pkt->size_bytes);
-      sim_.schedule_at(dup_arrival, [this, from, to, pkt, mode] {
-        arrive(to, from, pkt, mode);
-      });
+      const sim::SimTime dup_arrival = transmit(lane, pkt->size_bytes);
+      sim_.schedule_in_lane(lane, dup_arrival, 0,
+                            [this, from, to, pkt, mode] {
+                              arrive(to, from, pkt, mode);
+                            });
     }
   }
+  // Jitter can put `arrival` before an earlier hop's on this link; the
+  // queue then keeps it off the lane, so the pop order stays exact.
   if (engine_) {
-    engine_->schedule_from(from, to, arrival, [this, from, to, pkt, mode] {
-      arrive(to, from, pkt, mode);
-    });
+    engine_->schedule_from(from, to, arrival, lane,
+                           [this, from, to, pkt, mode] {
+                             arrive(to, from, pkt, mode);
+                           });
   } else {
-    sim_.schedule_at(arrival, [this, from, to, pkt, mode] {
+    sim_.schedule_in_lane(lane, arrival, 0, [this, from, to, pkt, mode] {
       arrive(to, from, pkt, mode);
     });
   }
@@ -228,8 +233,9 @@ void Network::leg_hop(NodeId cur, NodeId router, const PacketRef& pkt) {
   ++stats.unicast[type_idx];
   stats.wire_bytes[type_idx] += pkt->encoded_size();
   if (crossing_lost(*pkt, cur, next)) return;  // leg lost: no subcast
-  const sim::SimTime arrival = transmit(cur, next, pkt->size_bytes);
-  engine_->schedule_from(cur, next, arrival, [this, next, router, pkt] {
+  const std::uint32_t lane = link_dir(cur, next);
+  const sim::SimTime arrival = transmit(lane, pkt->size_bytes);
+  engine_->schedule_from(cur, next, arrival, lane, [this, next, router, pkt] {
     if (next == router) {
       for (NodeId c : tree_.children(router))
         send_hop(router, c, pkt, Mode::kSubcast);
@@ -282,7 +288,7 @@ void Network::unicast_subcast(NodeId from, NodeId router, const Packet& pkt) {
     if (crossing_lost(leg, cur, next)) return;  // leg lost: no subcast
     // Approximate queueing on the leg by advancing the busy horizon as of
     // `when` (the hop's local send time).
-    sim::SimTime& busy = busy_until(cur, next);
+    sim::SimTime& busy = busy_[link_dir(cur, next)];
     const sim::SimTime start = std::max(when, busy);
     const sim::SimTime tx = serialization_time(leg.size_bytes);
     busy = start + tx;

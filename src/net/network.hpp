@@ -191,17 +191,20 @@ class Network : public Transport {
   bool crossing_lost(const Packet& pkt, NodeId from, NodeId to);
 
   /// Queueing link model: returns the arrival time of a packet handed to
-  /// the edge `from`→`to` now, advancing the edge's busy horizon.
-  sim::SimTime transmit(NodeId from, NodeId to, int size_bytes);
+  /// the directed link `dir` (see link_dir) now, advancing its busy
+  /// horizon. Arrivals on one directed link therefore never decrease,
+  /// which is what lets each link's hops share one event-queue lane.
+  sim::SimTime transmit(std::uint32_t dir, int size_bytes);
 
   /// Serialization delay of a `size_bytes` packet on a configured link;
   /// memoized per distinct size (the sweep uses only a couple of sizes,
   /// and the division-plus-round is hot on every hop of every packet).
   sim::SimTime serialization_time(int size_bytes);
 
-  /// Per-direction busy horizon: index [child][0]=down (parent→child),
-  /// [child][1]=up.
-  sim::SimTime& busy_until(NodeId from, NodeId to);
+  /// Index of the directed tree edge `from` → `to`: 2·child + direction
+  /// (0 = down, parent→child; 1 = up). Indexes busy_ and doubles as the
+  /// edge's event-queue lane.
+  std::uint32_t link_dir(NodeId from, NodeId to) const;
 
   /// The clock/scheduler of the calling context: the ctor simulator in
   /// legacy mode, the current shard's in sharded mode.
@@ -218,7 +221,7 @@ class Network : public Transport {
   const MulticastTree& tree_;
   NetworkConfig config_;
   std::vector<Agent*> agents_;
-  std::vector<std::array<sim::SimTime, 2>> busy_;
+  std::vector<sim::SimTime> busy_;  ///< per directed link, see link_dir
   /// Indexed by child endpoint. Deliberately not vector<bool>: concurrent
   /// shards read distinct links, and packed bits would share bytes.
   std::vector<char> link_up_;

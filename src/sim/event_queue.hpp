@@ -18,6 +18,17 @@
 // keeps cancel() O(1), which matters because SRM suppression cancels a
 // large fraction of all scheduled timers, and frees the cancelled
 // callback's captures immediately.
+//
+// FIFO lanes. Packet arrivals on one directed link are scheduled in key
+// order already (the link's busy horizon never decreases), so a flood
+// backlog need not sit in the heap. schedule_in_lane() appends such an
+// event to its lane — a FIFO of non-cancellable events — and the heap
+// holds only each lane's head, under the head's own (time, tag, sequence)
+// key; popping a head sifts the lane's next key in. An event whose key
+// does not sort after its lane's tail (delay jitter, a cross-shard
+// mailbox drain) goes to the heap instead under the same key, so every
+// lane stays sorted and the pop order is exactly the one a single heap
+// would produce. Lane storage is one shared pool of fixed-size chunks.
 #pragma once
 
 #include <cstdint>
@@ -35,16 +46,19 @@ namespace cesrm::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-/// Min-heap of (time, callback) with O(1) allocation-free cancellation.
-/// The schedule/cancel/pop hot path is defined inline below the class —
-/// every packet hop goes through it, so cross-TU call overhead matters.
+/// Min-heap of (time, callback) with O(1) allocation-free cancellation
+/// and per-lane FIFOs for in-order event streams. The schedule/cancel/pop
+/// hot path is defined inline below the class — every packet hop goes
+/// through it, so cross-TU call overhead matters. Callbacks are taken by
+/// rvalue reference: a closure is relocated once into storage and once
+/// out of it.
 class EventQueue {
  public:
   using Callback = InlineFunction;
 
   /// Schedules `cb` at absolute time `when`; returns its id. Ties at the
   /// same instant fire in schedule order (tag 0, FIFO).
-  EventId schedule(SimTime when, Callback cb) {
+  EventId schedule(SimTime when, Callback&& cb) {
     return schedule_tagged(when, 0, std::move(cb));
   }
 
@@ -53,7 +67,16 @@ class EventQueue {
   /// schedule() — before all tagged events); equal tags fall back to
   /// schedule order. Tags let the sharded engine impose an execution-
   /// independent total order on cross-shard arrivals.
-  EventId schedule_tagged(SimTime when, std::uint64_t tag, Callback cb);
+  EventId schedule_tagged(SimTime when, std::uint64_t tag, Callback&& cb);
+
+  /// Schedules a non-cancellable `cb` at `when` with ordering tag `tag`,
+  /// appended to FIFO lane `lane`. Fires exactly where schedule_tagged()
+  /// would have placed it; the lane only saves heap work when successive
+  /// events of one lane arrive in key order (the caller's promise for the
+  /// common case, checked per event — an out-of-order event is kept in
+  /// the heap instead).
+  void schedule_in_lane(std::uint32_t lane, SimTime when, std::uint64_t tag,
+                        Callback&& cb);
 
   /// Cancels a pending event. Returns true if it was still pending;
   /// cancelling an already-fired or unknown id returns false.
@@ -69,15 +92,36 @@ class EventQueue {
 
   /// True if no live (non-cancelled) events remain.
   bool empty() const { return live_ == 0; }
-  /// Number of live pending events.
+  /// Number of live pending events (lane events included).
   std::size_t size() const { return live_; }
 
   /// Time of the earliest live event; infinity() when empty.
-  SimTime next_time();
+  SimTime next_time() {
+    drop_stale_top();
+    return heap_.empty() ? SimTime::infinity() : heap_.front().key.when;
+  }
 
-  /// Pops the earliest live event; fills `when`/`cb`/`id`. Returns false
+  /// Pops the earliest live event; fills `when`/`cb`/`id` (id is
+  /// kInvalidEventId for a lane event, which has none). Returns false
   /// when the queue is empty.
-  bool pop(SimTime& when, Callback& cb, EventId& id);
+  bool pop(SimTime& when, Callback& cb, EventId& id) {
+    drop_stale_top();
+    if (heap_.empty()) return false;
+    const HeapEntry& top = heap_.front();
+    id = top.gen == kLaneGen ? kInvalidEventId
+                             : (static_cast<EventId>(top.gen) << 32) | top.slot;
+    take_top(when, cb);
+    return true;
+  }
+
+  /// Pops the earliest live event if its time is strictly before `end`;
+  /// fills `when`/`cb`. Returns false (popping nothing) otherwise.
+  bool pop_before(SimTime end, SimTime& when, Callback& cb) {
+    drop_stale_top();
+    if (heap_.empty() || !(heap_.front().key.when < end)) return false;
+    take_top(when, cb);
+    return true;
+  }
 
   /// Total events ever scheduled (diagnostics / micro-benchmarks).
   std::uint64_t scheduled_total() const { return scheduled_; }
@@ -85,9 +129,17 @@ class EventQueue {
   std::uint64_t cancelled_total() const { return cancelled_; }
   /// Largest number of simultaneously-pending events seen so far.
   std::size_t high_water() const { return high_water_; }
+  /// Largest number of heap entries seen so far: lane heads, events kept
+  /// off the lanes and cancelled entries not yet skipped. Lane events
+  /// behind a head do not count, so this sits below high_water() when
+  /// lanes carry the backlog.
+  std::size_t heap_high_water() const { return heap_high_water_; }
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  /// HeapEntry::gen of a lane head (slot then holds the lane index); slot
+  /// generations are never 0.
+  static constexpr std::uint32_t kLaneGen = 0;
 
   struct Slot {
     Callback cb;
@@ -96,12 +148,35 @@ class EventQueue {
     bool live = false;
   };
 
-  struct HeapEntry {
+  /// Pop order: (when, tag, seq), compared lexicographically.
+  struct Key {
     SimTime when;
     std::uint64_t tag;  ///< cross-shard deterministic tie-break (0 = FIFO)
     std::uint64_t seq;  ///< monotonic schedule order — final tie-break
-    std::uint32_t slot;
+  };
+
+  struct HeapEntry {
+    Key key;
+    std::uint32_t slot;  ///< slot index, or lane index when gen == kLaneGen
     std::uint32_t gen;
+  };
+
+  /// A block of kLaneChunk consecutive lane events. Keys and callbacks
+  /// are kept apart so the tail-order check reads only keys.
+  static constexpr std::uint32_t kLaneChunk = 16;
+  struct LaneChunk {
+    Key key[kLaneChunk];
+    Callback cb[kLaneChunk];
+    LaneChunk* next = nullptr;
+  };
+
+  /// One FIFO: events head->key[head_idx] .. tail->key[tail_idx - 1].
+  /// `head` is null while the lane is empty.
+  struct Lane {
+    LaneChunk* head = nullptr;
+    LaneChunk* tail = nullptr;
+    std::uint32_t head_idx = 0;
+    std::uint32_t tail_idx = 0;
   };
 
   static std::uint32_t slot_of(EventId id) {
@@ -112,14 +187,15 @@ class EventQueue {
   }
 
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
-    if (a.when != b.when) return a.when < b.when;
-    if (a.tag != b.tag) return a.tag < b.tag;
-    return a.seq < b.seq;
+    if (a.key.when != b.key.when) return a.key.when < b.key.when;
+    if (a.key.tag != b.key.tag) return a.key.tag < b.key.tag;
+    return a.key.seq < b.key.seq;
   }
 
-  /// True when the heap entry still refers to a live event (its slot has
-  /// not been freed and reissued since the entry was pushed).
+  /// True when the heap entry still refers to a live event: a lane head,
+  /// or a slot not freed and reissued since the entry was pushed.
   bool entry_live(const HeapEntry& e) const {
+    if (e.gen == kLaneGen) return true;
     const Slot& s = slot_at(e.slot);
     return s.live && s.gen == e.gen;
   }
@@ -136,26 +212,53 @@ class EventQueue {
     return chunks_[i >> kChunkShift][i & kChunkMask];
   }
 
+  void push_heap(const HeapEntry& e) {
+    heap_.push_back(e);
+    sift_up(heap_.size() - 1);
+    if (heap_.size() > heap_high_water_) heap_high_water_ = heap_.size();
+  }
+  void remove_top() {
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0);
+  }
+  void count_scheduled() {
+    ++scheduled_;
+    ++live_;
+    if (live_ > high_water_) high_water_ = live_;
+  }
+
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void drop_stale_top();
+  void take_top(SimTime& when, Callback& cb);
   void free_slot(std::uint32_t slot);
+  LaneChunk* alloc_lane_chunk();
+  void free_lane_chunk(LaneChunk* c) {
+    c->next = free_lane_chunks_;
+    free_lane_chunks_ = c;
+  }
 
   std::vector<HeapEntry> heap_;  ///< 4-ary implicit heap
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = kNoSlot;
+  std::vector<Lane> lanes_;  ///< indexed by lane id, grown on first use
+  /// Owns every lane chunk ever allocated; idle ones sit on the free list.
+  std::vector<std::unique_ptr<LaneChunk>> lane_chunks_;
+  LaneChunk* free_lane_chunks_ = nullptr;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
   std::uint64_t scheduled_ = 0;
   std::uint64_t cancelled_ = 0;
   std::size_t high_water_ = 0;
+  std::size_t heap_high_water_ = 0;
 };
 
 // ---- hot path, kept inline (header) for cross-TU inlining ----
 
 inline EventId EventQueue::schedule_tagged(SimTime when, std::uint64_t tag,
-                                           Callback cb) {
+                                           Callback&& cb) {
   CESRM_CHECK_MSG(cb != nullptr, "null event callback");
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
@@ -171,13 +274,49 @@ inline EventId EventQueue::schedule_tagged(SimTime when, std::uint64_t tag,
   s.cb = std::move(cb);
   s.live = true;
 
-  heap_.push_back(HeapEntry{when, tag, next_seq_++, slot, s.gen});
-  sift_up(heap_.size() - 1);
-
-  ++scheduled_;
-  ++live_;
-  if (live_ > high_water_) high_water_ = live_;
+  push_heap(HeapEntry{Key{when, tag, next_seq_++}, slot, s.gen});
+  count_scheduled();
   return (static_cast<EventId>(s.gen) << 32) | slot;
+}
+
+inline void EventQueue::schedule_in_lane(std::uint32_t lane, SimTime when,
+                                         std::uint64_t tag, Callback&& cb) {
+  CESRM_CHECK_MSG(cb != nullptr, "null event callback");
+  if (lane >= lanes_.size()) lanes_.resize(std::size_t{lane} + 1);
+  Lane& l = lanes_[lane];
+  if (l.head != nullptr) {
+    // The new key's sequence is the largest yet, so it sorts after the
+    // tail unless its (time, tag) is smaller.
+    const Key& tail = l.tail->key[l.tail_idx - 1];
+    if (when < tail.when || (when == tail.when && tag < tail.tag)) {
+      schedule_tagged(when, tag, std::move(cb));
+      return;
+    }
+    if (l.tail_idx == kLaneChunk) {
+      LaneChunk* c = alloc_lane_chunk();
+      l.tail->next = c;
+      l.tail = c;
+      l.tail_idx = 0;
+    }
+  } else {
+    l.head = l.tail = alloc_lane_chunk();
+    l.head_idx = l.tail_idx = 0;
+    push_heap(HeapEntry{Key{when, tag, next_seq_}, lane, kLaneGen});
+  }
+  l.tail->key[l.tail_idx] = Key{when, tag, next_seq_++};
+  l.tail->cb[l.tail_idx] = std::move(cb);
+  ++l.tail_idx;
+  count_scheduled();
+}
+
+inline EventQueue::LaneChunk* EventQueue::alloc_lane_chunk() {
+  if (LaneChunk* c = free_lane_chunks_) {
+    free_lane_chunks_ = c->next;
+    c->next = nullptr;
+    return c;
+  }
+  lane_chunks_.push_back(std::make_unique<LaneChunk>());
+  return lane_chunks_.back().get();
 }
 
 inline bool EventQueue::cancel(EventId id) {
@@ -229,27 +368,38 @@ inline void EventQueue::sift_down(std::size_t i) {
 }
 
 inline void EventQueue::drop_stale_top() {
-  while (!heap_.empty() && !entry_live(heap_.front())) {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-  }
+  while (!heap_.empty() && !entry_live(heap_.front())) remove_top();
 }
 
-inline bool EventQueue::pop(SimTime& when, Callback& cb, EventId& id) {
-  drop_stale_top();
-  if (heap_.empty()) return false;
-  const HeapEntry e = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-
-  when = e.when;
-  id = (static_cast<EventId>(e.gen) << 32) | e.slot;
-  cb = std::move(slot_at(e.slot).cb);
-  free_slot(e.slot);
+/// Removes the (live) heap top's event and moves its callback into `cb`.
+/// A lane head is replaced in place by the lane's next key, if any.
+inline void EventQueue::take_top(SimTime& when, Callback& cb) {
+  HeapEntry& top = heap_.front();
+  when = top.key.when;
   --live_;
-  return true;
+  if (top.gen != kLaneGen) {
+    const std::uint32_t slot = top.slot;
+    remove_top();
+    cb = std::move(slot_at(slot).cb);
+    free_slot(slot);
+    return;
+  }
+  Lane& l = lanes_[top.slot];
+  LaneChunk* c = l.head;
+  cb = std::move(c->cb[l.head_idx++]);
+  if (c == l.tail && l.head_idx == l.tail_idx) {  // lane drained
+    l.head = l.tail = nullptr;
+    free_lane_chunk(c);
+    remove_top();
+    return;
+  }
+  if (l.head_idx == kLaneChunk) {
+    l.head = c->next;
+    l.head_idx = 0;
+    free_lane_chunk(c);
+  }
+  top.key = l.head->key[l.head_idx];
+  sift_down(0);
 }
 
 }  // namespace cesrm::sim

@@ -47,21 +47,14 @@ std::size_t ShardedEngine::current_shard_index() const {
   return tls_shard >= 0 ? static_cast<std::size_t>(tls_shard) : 0;
 }
 
-void ShardedEngine::schedule_from(int from, int dest, SimTime when,
-                                  EventQueue::Callback cb) {
-  const std::uint64_t tag = next_tag(from);
-  const int dst = shard_of(dest);
-  const std::size_t me = current_shard_index();
-  if (dst == static_cast<int>(me)) {
-    sims_[me]->schedule_at_tagged(when, tag, std::move(cb));
-    return;
-  }
+void ShardedEngine::post(std::size_t me, int dest, SimTime when,
+                         std::uint64_t tag, EventQueue::Callback&& cb) {
   CESRM_CHECK_MSG(when >= window_end_,
                   "cross-shard event inside the lookahead window: when="
                       << when << " window_end=" << window_end_);
   mail_[me * static_cast<std::size_t>(shards_) +
-        static_cast<std::size_t>(dst)]
-      .push_back(Posted{when, tag, std::move(cb)});
+        static_cast<std::size_t>(shard_of(dest))]
+      .emplace_back(when, tag, std::move(cb));
   ++shard_posts_[me];
 }
 
@@ -155,6 +148,18 @@ std::uint64_t ShardedEngine::events_scheduled() const {
 std::uint64_t ShardedEngine::events_cancelled() const {
   std::uint64_t n = 0;
   for (const auto& s : sims_) n += s->events_cancelled();
+  return n;
+}
+
+std::size_t ShardedEngine::queue_high_water() const {
+  std::size_t n = 0;
+  for (const auto& s : sims_) n = std::max(n, s->queue_high_water());
+  return n;
+}
+
+std::size_t ShardedEngine::heap_high_water() const {
+  std::size_t n = 0;
+  for (const auto& s : sims_) n = std::max(n, s->heap_high_water());
   return n;
 }
 

@@ -83,7 +83,27 @@ class ShardedEngine {
   /// to the mailbox and drained at the window barrier — `when` must then
   /// lie at or beyond the current window's end (conservative lookahead).
   void schedule_from(int from, int dest, SimTime when,
-                     EventQueue::Callback cb);
+                     EventQueue::Callback&& cb) {
+    const std::uint64_t tag = next_tag(from);
+    const std::size_t me = current_shard_index();
+    if (shard_of(dest) == static_cast<int>(me))
+      sims_[me]->schedule_at_tagged(when, tag, std::move(cb));
+    else
+      post(me, dest, when, tag, std::move(cb));
+  }
+
+  /// As above for a non-cancellable event on FIFO lane `lane` (see
+  /// Simulator::schedule_in_lane): a same-shard destination joins the
+  /// lane; a cross-shard one still goes through the mailbox.
+  void schedule_from(int from, int dest, SimTime when, std::uint32_t lane,
+                     EventQueue::Callback&& cb) {
+    const std::uint64_t tag = next_tag(from);
+    const std::size_t me = current_shard_index();
+    if (shard_of(dest) == static_cast<int>(me))
+      sims_[me]->schedule_in_lane(lane, when, tag, std::move(cb));
+    else
+      post(me, dest, when, tag, std::move(cb));
+  }
 
   /// Runs all shards to `horizon` (inclusive, like Simulator::run_until)
   /// on shards() threads, then clamps every shard clock to `horizon`.
@@ -93,6 +113,9 @@ class ShardedEngine {
   std::uint64_t events_executed() const;
   std::uint64_t events_scheduled() const;
   std::uint64_t events_cancelled() const;
+  /// Largest per-shard peaks of pending events / heap entries.
+  std::size_t queue_high_water() const;
+  std::size_t heap_high_water() const;
   std::uint64_t windows_run() const { return windows_; }
   std::uint64_t cross_shard_posts() const { return posts_; }
 
@@ -106,6 +129,9 @@ class ShardedEngine {
   };
 
   std::size_t current_shard_index() const;
+  /// Posts a cross-shard event from shard `me` to `dest`'s shard mailbox.
+  void post(std::size_t me, int dest, SimTime when, std::uint64_t tag,
+            EventQueue::Callback&& cb);
   void drain_mailboxes(int me);
 
   std::vector<int> shard_of_location_;

@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "util/check.hpp"
-
 namespace cesrm::sim {
 
 namespace {
@@ -13,37 +11,6 @@ double wall_now_seconds() {
       .count();
 }
 }  // namespace
-
-EventId Simulator::schedule_in(SimTime delay, EventQueue::Callback cb) {
-  if (delay.is_negative()) delay = SimTime::zero();
-  return queue_.schedule(now_ + delay, std::move(cb));
-}
-
-EventId Simulator::schedule_at(SimTime when, EventQueue::Callback cb) {
-  CESRM_CHECK_MSG(when >= now_, "scheduling into the past: when=" << when
-                                 << " now=" << now_);
-  return queue_.schedule(when, std::move(cb));
-}
-
-EventId Simulator::schedule_at_tagged(SimTime when, std::uint64_t tag,
-                                      EventQueue::Callback cb) {
-  CESRM_CHECK_MSG(when >= now_, "scheduling into the past: when=" << when
-                                 << " now=" << now_);
-  return queue_.schedule_tagged(when, tag, std::move(cb));
-}
-
-bool Simulator::step() {
-  SimTime when;
-  EventQueue::Callback cb;
-  EventId id;
-  if (!queue_.pop(when, cb, id)) return false;
-  CESRM_CHECK(when >= now_);
-  now_ = when;
-  ++executed_;
-  if (profile_) profile_tick();
-  cb();
-  return true;
-}
 
 void Simulator::enable_profiling(bool on) {
   profile_ = on;
@@ -79,20 +46,17 @@ void Simulator::run() {
 
 void Simulator::run_window(SimTime end) {
   stopped_ = false;
+  SimTime when;
   while (!stopped_) {
-    const SimTime next = queue_.next_time();
-    if (next >= end) break;
-    step();
+    EventQueue::Callback cb;  // per event: captures die when it returns
+    if (!queue_.pop_before(end, when, cb)) break;
+    execute(when, cb);
   }
 }
 
 void Simulator::run_until(SimTime until) {
-  stopped_ = false;
-  while (!stopped_) {
-    const SimTime next = queue_.next_time();
-    if (next > until) break;
-    step();
-  }
+  run_window(until < SimTime::infinity() ? until + SimTime::nanos(1)
+                                         : until);
   if (now_ < until) now_ = until;
 }
 

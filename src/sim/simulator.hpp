@@ -12,6 +12,7 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
+#include "util/check.hpp"
 
 namespace cesrm::obs {
 class TraceRecorder;
@@ -30,24 +31,50 @@ class Simulator {
 
   /// Schedules `cb` at `now() + delay`; negative delays are clamped to now
   /// (a zero-delay event still runs after the current event completes).
-  EventId schedule_in(SimTime delay, EventQueue::Callback cb);
+  EventId schedule_in(SimTime delay, EventQueue::Callback&& cb) {
+    if (delay.is_negative()) delay = SimTime::zero();
+    return queue_.schedule(now_ + delay, std::move(cb));
+  }
 
   /// Schedules `cb` at absolute time `when`; `when` must be >= now().
-  EventId schedule_at(SimTime when, EventQueue::Callback cb);
+  EventId schedule_at(SimTime when, EventQueue::Callback&& cb) {
+    check_not_past(when);
+    return queue_.schedule(when, std::move(cb));
+  }
 
   /// Schedules `cb` at `when` with an explicit ordering tag (see
   /// EventQueue::schedule_tagged). The sharded engine routes cross-shard
   /// arrivals through this so same-instant ties order identically for any
   /// shard count; plain schedule_at/in use tag 0 (historical FIFO).
   EventId schedule_at_tagged(SimTime when, std::uint64_t tag,
-                             EventQueue::Callback cb);
+                             EventQueue::Callback&& cb) {
+    check_not_past(when);
+    return queue_.schedule_tagged(when, tag, std::move(cb));
+  }
+
+  /// Schedules a non-cancellable `cb` at `when` with ordering tag `tag`
+  /// on FIFO lane `lane` (see EventQueue::schedule_in_lane). It fires
+  /// exactly when schedule_at_tagged would have fired it; the network
+  /// puts each directed link's arrivals on one lane.
+  void schedule_in_lane(std::uint32_t lane, SimTime when, std::uint64_t tag,
+                        EventQueue::Callback&& cb) {
+    check_not_past(when);
+    queue_.schedule_in_lane(lane, when, tag, std::move(cb));
+  }
 
   /// Cancels a pending event; returns true if it had not yet fired.
   bool cancel(EventId id) { return queue_.cancel(id); }
   bool is_pending(EventId id) const { return queue_.is_pending(id); }
 
   /// Runs a single event. Returns false when the queue is empty.
-  bool step();
+  bool step() {
+    SimTime when;
+    EventQueue::Callback cb;
+    EventId id;
+    if (!queue_.pop(when, cb, id)) return false;
+    execute(when, cb);
+    return true;
+  }
 
   /// Runs until the queue empties (or stop() is called).
   void run();
@@ -84,6 +111,7 @@ class Simulator {
   std::uint64_t events_scheduled() const { return queue_.scheduled_total(); }
   std::uint64_t events_cancelled() const { return queue_.cancelled_total(); }
   std::size_t queue_high_water() const { return queue_.high_water(); }
+  std::size_t heap_high_water() const { return queue_.heap_high_water(); }
 
   /// Observability hook. The recorder is owned by the harness; sim only
   /// forward-declares it so the event loop has no obs dependency. Null
@@ -103,6 +131,20 @@ class Simulator {
   }
 
  private:
+  void check_not_past(SimTime when) const {
+    CESRM_CHECK_MSG(when >= now_, "scheduling into the past: when="
+                                      << when << " now=" << now_);
+  }
+
+  /// Runs one popped event at `when`.
+  void execute(SimTime when, EventQueue::Callback& cb) {
+    CESRM_CHECK(when >= now_);
+    now_ = when;
+    ++executed_;
+    if (profile_) profile_tick();
+    cb();
+  }
+
   void profile_tick();
 
   EventQueue queue_;

@@ -621,6 +621,54 @@ TEST(Network, PerturbExtraDelayShiftsArrival) {
   EXPECT_EQ(f.agents[3]->deliveries[0].at, sim::SimTime::millis(50));
 }
 
+TEST(Network, JitteredHopOvertakenOnItsLinkArrivesInTimeOrder) {
+  // Both packets cross 0→2→5. The first is held 50 ms on 0→2, so the
+  // second, sent later on the same link, arrives there first: its key
+  // sorts before the lane's tail and it takes the heap instead.
+  NetworkConfig cfg;
+  cfg.link_delay = sim::SimTime::millis(20);
+  cfg.model_bandwidth = false;
+  NetFixture f(cfg);
+  f.network.set_perturb_fn([](const Packet& pkt, NodeId from, NodeId to) {
+    Perturbation p;
+    if (pkt.seq == 0 && from == 0 && to == 2)
+      p.extra_delay = sim::SimTime::millis(50);
+    return p;
+  });
+  Packet first = make_data_packet(0, 0);
+  first.dest = 5;
+  Packet second = make_data_packet(0, 1);
+  second.dest = 5;
+  f.network.unicast(0, first);
+  f.network.unicast(0, second);
+  EXPECT_EQ(f.sim.heap_high_water(), 2u);  // lane head + the fallback
+  f.sim.run();
+  const auto& d = f.agents[5]->deliveries;
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_EQ(d[0].pkt.seq, 1u);
+  EXPECT_EQ(d[0].at, sim::SimTime::millis(40));
+  EXPECT_EQ(d[1].pkt.seq, 0u);
+  EXPECT_EQ(d[1].at, sim::SimTime::millis(90));
+}
+
+TEST(Network, FloodBacklogWaitsInLinkLanesNotTheHeap) {
+  // 50 floods injected at once queue behind each other on every link;
+  // the heap holds at most one entry per directed link.
+  NetFixture f;
+  for (SeqNo s = 0; s < 50; ++s) f.network.multicast(0, make_data_packet(0, s));
+  EXPECT_EQ(f.sim.pending_events(), 100u);  // two root links × 50
+  EXPECT_LE(f.sim.heap_high_water(), 2u);
+  f.sim.run();
+  EXPECT_GE(f.sim.queue_high_water(), 100u);
+  EXPECT_LE(f.sim.heap_high_water(), 2 * f.tree.link_count());
+  for (NodeId n : {3, 4, 5}) {
+    const auto& d = f.agents[n]->deliveries;
+    ASSERT_EQ(d.size(), 50u) << "node " << n;
+    for (std::size_t i = 0; i < d.size(); ++i)
+      EXPECT_EQ(d[i].pkt.seq, static_cast<SeqNo>(i));
+  }
+}
+
 TEST(Network, PerturbNeverAppliesToDroppedPackets) {
   NetFixture f;
   std::size_t perturb_calls = 0;

@@ -215,7 +215,7 @@ TEST(ScaleMemory, MemberStateStaysUnder100BytesPerReceiver) {
 std::string scale_fingerprint(const harness::ScaleResult& r) {
   std::ostringstream os;
   os << r.receivers << " " << r.blocks << " " << r.tree_nodes << " "
-     << r.events_executed << " " << r.losses << " " << r.recovered << " "
+     << r.events_executed << " " << r.events_scheduled << " " << r.losses << " " << r.recovered << " "
      << r.outstanding << " " << r.window_overflows << " " << r.requests_sent
      << " " << r.recovery_p50_ns << " " << r.recovery_p99_ns << " "
      << r.session_rounds << " " << r.session_crossings << " "
@@ -243,6 +243,26 @@ TEST(ScaleSharding, ResultsIdenticalForEveryShardCount) {
       EXPECT_EQ(want, scale_fingerprint(harness::run_scale(cfg)))
           << "protocol=" << protocol_name(protocol) << " shards=" << shards;
     }
+  }
+}
+
+TEST(ScaleQueue, FloodBacklogWaitsInLinkLanes) {
+  // Queued hops wait in per-link lanes behind one heap entry each, on the
+  // classic queue and on the sharded engine alike.
+  for (const int shards : {0, 2}) {
+    harness::ScaleConfig cfg;
+    cfg.protocol = Protocol::kSrm;
+    cfg.receivers = 2000;
+    cfg.block_members = 50;
+    cfg.tree_depth = 4;
+    cfg.packets = 60;
+    cfg.member_loss = 0.03;
+    cfg.seed = 19;
+    cfg.shards = shards;
+    const auto r = harness::run_scale(cfg);
+    EXPECT_GE(r.events_scheduled, r.events_executed) << "shards=" << shards;
+    EXPECT_GT(r.heap_high_water, 0u) << "shards=" << shards;
+    EXPECT_LT(r.heap_high_water, r.queue_high_water) << "shards=" << shards;
   }
 }
 

@@ -14,6 +14,7 @@
 #include "sim/time.hpp"
 #include "sim/timer.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace cesrm::sim {
 namespace {
@@ -254,6 +255,149 @@ TEST(EventQueue, PopOrderMatchesStableSortProperty) {
     EventId id;
     while (q.pop(when, cb, id)) cb();
     EXPECT_EQ(popped, survivors) << "round " << round;
+  }
+}
+
+TEST(EventQueue, LaneEventsPopInKeyOrderAmongHeapEvents) {
+  EventQueue q;
+  std::vector<int> order;
+  const auto log = [&order](int i) { return [&order, i] { order.push_back(i); }; };
+  q.schedule_in_lane(3, SimTime::millis(1), 0, log(0));
+  q.schedule(SimTime::millis(2), log(1));
+  q.schedule_in_lane(3, SimTime::millis(2), 0, log(2));  // tie: FIFO by seq
+  q.schedule_in_lane(3, SimTime::millis(2), 5, log(4));
+  q.schedule_tagged(SimTime::millis(2), 1, log(3));
+  q.schedule_in_lane(7, SimTime::millis(2), 0, log(5));  // later seq than 2
+  EXPECT_EQ(q.size(), 6u);
+  EXPECT_EQ(q.heap_high_water(), 4u);  // two lane heads + two heap events
+  SimTime when;
+  EventQueue::Callback cb;
+  EventId id;
+  while (q.pop(when, cb, id)) {
+    cb();
+    if (order.back() == 0 || order.back() == 2) {
+      EXPECT_EQ(id, kInvalidEventId);
+    }
+  }
+  // (2ms, tag 0): seq order 1, 2, 5; then tag 1 (3), then tag 5 (4).
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 5, 3, 4}));
+}
+
+TEST(EventQueue, OutOfOrderLaneEventFallsBackToTheHeap) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_in_lane(0, SimTime::millis(9), 0, [&] { order.push_back(9); });
+  q.schedule_in_lane(0, SimTime::millis(4), 0, [&] { order.push_back(4); });
+  q.schedule_in_lane(0, SimTime::millis(9), 0, [&] { order.push_back(10); });
+  EXPECT_EQ(q.heap_high_water(), 2u);  // the lane's head + the 4 ms event
+  EXPECT_EQ(q.next_time(), SimTime::millis(4));
+  SimTime when;
+  EventQueue::Callback cb;
+  ASSERT_FALSE(q.pop_before(SimTime::millis(4), when, cb));
+  ASSERT_TRUE(q.pop_before(SimTime::millis(5), when, cb));
+  cb();
+  while (q.pop_before(SimTime::infinity(), when, cb)) cb();
+  EXPECT_EQ(order, (std::vector<int>{4, 9, 10}));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, LaneChunksRecycleAcrossDrains) {
+  // A lane longer than one chunk, drained and refilled: FIFO order holds
+  // across chunk boundaries and pending callbacks die with the queue.
+  auto alive = std::make_shared<int>(0);
+  {
+    EventQueue q;
+    std::vector<int> order;
+    for (int round = 0; round < 3; ++round) {
+      for (int i = 0; i < 40; ++i)
+        q.schedule_in_lane(2, SimTime::millis(round * 100 + i / 3), 0,
+                           [&order, i] { order.push_back(i); });
+      SimTime when;
+      EventQueue::Callback cb;
+      while (q.pop_before(SimTime::millis(round * 100 + 100), when, cb)) cb();
+      ASSERT_EQ(order.size(), 40u);
+      for (int i = 0; i < 40; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+      order.clear();
+    }
+    q.schedule_in_lane(2, SimTime::millis(1000), 0, [alive] { ++*alive; });
+    EXPECT_EQ(alive.use_count(), 2);
+  }
+  EXPECT_EQ(alive.use_count(), 1);
+}
+
+TEST(EventQueue, LanesMatchAReferenceQueueProperty) {
+  // Seeded property: a simulator scheduling a mix of plain, tagged,
+  // cancelled and lane events — with equal-time ties and deliberately
+  // out-of-order lane keys — behaves exactly like a reference simulator
+  // that schedules every one of them with schedule_at_tagged: same pop
+  // order, same scheduled / pending / high-water counts at every step.
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    util::Rng rng(seed);
+    Simulator sim;
+    Simulator ref;
+    std::vector<int> got;
+    std::vector<int> want;
+    std::vector<std::pair<EventId, EventId>> cancellable;
+    struct LaneTail {
+      SimTime when;
+      std::uint64_t tag = 0;
+    };
+    std::vector<LaneTail> tails(6);
+    int label = 0;
+    std::size_t out_of_order = 0;
+    for (int op = 0; op < 3000; ++op) {
+      const auto roll = rng.uniform_int(0, 99);
+      const SimTime when =
+          sim.now() + SimTime::micros(rng.uniform_int(0, 40) * 100);
+      const auto tag = static_cast<std::uint64_t>(rng.uniform_int(0, 3));
+      const int l = label++;
+      auto mine = [&got, l] { got.push_back(l); };
+      auto theirs = [&want, l] { want.push_back(l); };
+      if (roll < 15) {
+        cancellable.emplace_back(sim.schedule_at(when, mine),
+                                 ref.schedule_at(when, theirs));
+      } else if (roll < 30) {
+        cancellable.emplace_back(sim.schedule_at_tagged(when, tag, mine),
+                                 ref.schedule_at_tagged(when, tag, theirs));
+      } else if (roll < 65) {
+        const auto lane = static_cast<std::size_t>(rng.uniform_int(0, 5));
+        LaneTail& t = tails[lane];
+        SimTime at = when;
+        std::uint64_t at_tag = tag;
+        if (rng.uniform_int(0, 9) != 0) {
+          // Mostly in order: not before the lane's tail (ties allowed).
+          if (at < t.when) at = t.when;
+          if (at == t.when && at_tag < t.tag) at_tag = t.tag;
+        }
+        if (at < t.when || (at == t.when && at_tag < t.tag))
+          ++out_of_order;
+        else
+          t = {at, at_tag};
+        sim.schedule_in_lane(static_cast<std::uint32_t>(lane), at, at_tag,
+                             mine);
+        ref.schedule_at_tagged(at, at_tag, theirs);
+      } else if (roll < 75 && !cancellable.empty()) {
+        const auto i = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(cancellable.size()) - 1));
+        EXPECT_EQ(sim.cancel(cancellable[i].first),
+                  ref.cancel(cancellable[i].second));
+      } else {
+        EXPECT_EQ(sim.step(), ref.step());
+        EXPECT_EQ(sim.now(), ref.now());
+      }
+      ASSERT_EQ(got, want) << "seed " << seed << " op " << op;
+      ASSERT_EQ(sim.events_scheduled(), ref.events_scheduled());
+      ASSERT_EQ(sim.pending_events(), ref.pending_events());
+      ASSERT_EQ(sim.queue_high_water(), ref.queue_high_water());
+      ASSERT_EQ(sim.next_event_time(), ref.next_event_time());
+    }
+    sim.run();
+    ref.run();
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(sim.events_executed(), ref.events_executed());
+    EXPECT_EQ(sim.events_cancelled(), ref.events_cancelled());
+    EXPECT_LE(sim.heap_high_water(), ref.heap_high_water());
+    EXPECT_GT(out_of_order, 0u) << "seed " << seed;
   }
 }
 
