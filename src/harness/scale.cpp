@@ -227,16 +227,22 @@ ScaleResult run_scale(const ScaleConfig& config) {
   }
 
   // --- the transmission -------------------------------------------------
-  auto send_next = std::make_shared<std::function<void(net::SeqNo)>>();
-  *send_next = [&network, &root_sim, root, send_next,
-                packets = config.packets, period = config.period](
-                   net::SeqNo seq) {
-    network.multicast(root, net::make_data_packet(root, seq));
-    if (seq + 1 < packets)
-      root_sim.schedule_in(period,
-                           [send_next, seq] { (*send_next)(seq + 1); });
-  };
-  root_sim.schedule_at(kWarmup, [send_next] { (*send_next)(0); });
+  // A plain struct on this frame: a std::function holding a shared_ptr
+  // to itself would be a reference cycle and leak. A send still pending
+  // at the horizon never fires, so the frame outlives every use.
+  struct DataSender {
+    net::Network& network;
+    sim::Simulator& sim;
+    net::NodeId root;
+    net::SeqNo packets;
+    sim::SimTime period;
+    void send(net::SeqNo seq) {
+      network.multicast(root, net::make_data_packet(root, seq));
+      if (seq + 1 < packets)
+        sim.schedule_in(period, [this, seq] { send(seq + 1); });
+    }
+  } sender{network, root_sim, root, config.packets, config.period};
+  root_sim.schedule_at(kWarmup, [&sender] { sender.send(0); });
 
   const auto t0 = std::chrono::steady_clock::now();
   if (engine)

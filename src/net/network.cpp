@@ -5,6 +5,60 @@
 
 namespace cesrm::net {
 
+/// Internal ref-counted packet handle: an N-node flood materializes the
+/// Packet once, with its encoded size, in a box that every hop shares,
+/// instead of copying the packet into a fresh event per tree edge. The
+/// count is not atomic: a box is only ever touched by the shard that
+/// made it, and a hop into another shard carries a fresh box. A pending
+/// lane hop holds one reference inside its lane word.
+class Network::PacketRef {
+ public:
+  static PacketRef make(const Packet& pkt) {
+    return PacketRef(new Box{pkt, pkt.encoded_size(), 1});
+  }
+  PacketRef(const PacketRef& o) noexcept : box_(o.box_) { ++box_->refs; }
+  PacketRef(PacketRef&& o) noexcept : box_(o.box_) { o.box_ = nullptr; }
+  PacketRef& operator=(const PacketRef&) = delete;
+  PacketRef& operator=(PacketRef&&) = delete;
+  ~PacketRef() {
+    if (box_ != nullptr && --box_->refs == 0) delete box_;
+  }
+
+  const Packet& operator*() const { return box_->pkt; }
+  const Packet* operator->() const { return &box_->pkt; }
+  /// Packet::encoded_size(), computed once when the box was made.
+  std::size_t wire_bytes() const { return box_->wire_bytes; }
+
+  /// A lane word: one new reference to the box, with `mode` in the low
+  /// bits. Ownership passes to the word until from_word() adopts it.
+  std::uint64_t to_word(Mode mode) const {
+    ++box_->refs;
+    return reinterpret_cast<std::uintptr_t>(box_) |
+           static_cast<std::uintptr_t>(mode);
+  }
+  /// Adopts the reference a to_word() word owns.
+  static PacketRef from_word(std::uint64_t word) {
+    return PacketRef(reinterpret_cast<Box*>(
+        static_cast<std::uintptr_t>(word & ~kModeMask)));
+  }
+  static Mode mode_of(std::uint64_t word) {
+    return static_cast<Mode>(word & kModeMask);
+  }
+
+ private:
+  struct Box {
+    Packet pkt;
+    std::size_t wire_bytes;
+    std::uint32_t refs;
+  };
+  static constexpr std::uint64_t kModeMask = 7;
+  static_assert(alignof(Box) > kModeMask, "mode bits need aligned boxes");
+
+  explicit PacketRef(Box* box) : box_(box) {}
+
+  Box* box_;
+};
+
 namespace {
 void record_drop(sim::Simulator& sim, const Packet& pkt, NodeId from,
                  NodeId to) {
@@ -21,6 +75,8 @@ Network::Network(sim::Simulator& sim, const MulticastTree& tree,
       config_(config),
       agents_(tree.size(), nullptr),
       busy_(2 * tree.size(), sim::SimTime::zero()),
+      lane_base_(sim.add_lanes(static_cast<std::uint32_t>(busy_.size()),
+                               lane_client())),
       link_up_(tree.size(), 1) {
   CESRM_CHECK(config_.link_bandwidth_bps > 0.0);
   CESRM_CHECK(config_.link_delay >= sim::SimTime::zero());
@@ -52,6 +108,15 @@ void Network::enable_sharding(sim::ShardedEngine* engine) {
                   "perturbation hook is not supported in sharded mode");
   CESRM_CHECK_MSG(engine->lookahead() <= config_.link_delay,
                   "engine lookahead exceeds the link delay");
+  // Hop words must find this network at the same lane id on any shard.
+  for (int shard = 0; shard < engine->shards(); ++shard) {
+    sim::Simulator& sim = engine->sim(shard);
+    if (&sim == &sim_) continue;
+    CESRM_CHECK_MSG(
+        sim.add_lanes(static_cast<std::uint32_t>(busy_.size()),
+                      lane_client()) == lane_base_,
+        "shard " << shard << " cannot reserve this network's lane block");
+  }
   engine_ = engine;
   shard_stats_.assign(static_cast<std::size_t>(engine->shards()),
                       CrossingStats{});
@@ -124,35 +189,51 @@ void Network::send_hop(NodeId from, NodeId to, const PacketRef& pkt,
     case Mode::kUnicast: ++stats.unicast[type_idx]; break;
     case Mode::kSubcast: ++stats.subcast[type_idx]; break;
   }
-  stats.wire_bytes[type_idx] += pkt->encoded_size();
+  stats.wire_bytes[type_idx] += pkt.wire_bytes();
   if (crossing_lost(*pkt, from, to)) return;
-  const std::uint32_t lane = link_dir(from, to);
-  sim::SimTime arrival = transmit(lane, pkt->size_bytes);
+  const std::uint32_t dir = link_dir(from, to);
+  const std::uint32_t lane = lane_base_ + dir;
+  sim::SimTime arrival = transmit(dir, pkt->size_bytes);
   if (perturb_fn_) {
     const Perturbation p = perturb_fn_(*pkt, from, to);
     CESRM_CHECK(p.extra_delay >= sim::SimTime::zero());
     arrival += p.extra_delay;
     if (p.duplicate) {
       ++stats.duplicated[type_idx];
-      const sim::SimTime dup_arrival = transmit(lane, pkt->size_bytes);
-      sim_.schedule_in_lane(lane, dup_arrival, 0,
-                            [this, from, to, pkt, mode] {
-                              arrive(to, from, pkt, mode);
-                            });
+      const sim::SimTime dup_arrival = transmit(dir, pkt->size_bytes);
+      sim_.schedule_in_lane(lane, dup_arrival, 0, pkt.to_word(mode));
     }
   }
   // Jitter can put `arrival` before an earlier hop's on this link; the
   // queue then keeps it off the lane, so the pop order stays exact.
-  if (engine_) {
-    engine_->schedule_from(from, to, arrival, lane,
-                           [this, from, to, pkt, mode] {
-                             arrive(to, from, pkt, mode);
-                           });
+  if (!engine_) {
+    sim_.schedule_in_lane(lane, arrival, 0, pkt.to_word(mode));
+  } else if (engine_->shard_of(to) == engine_->current_shard()) {
+    engine_->schedule_in_lane_from(from, arrival, lane, pkt.to_word(mode));
   } else {
-    sim_.schedule_in_lane(lane, arrival, 0, [this, from, to, pkt, mode] {
-      arrive(to, from, pkt, mode);
-    });
+    // Box counts are not atomic: the receiving shard gets its own box.
+    engine_->schedule_from(
+        from, to, arrival,
+        [this, from, to, ref = PacketRef::make(*pkt), mode] {
+          arrive(to, from, ref, mode);
+        });
   }
+}
+
+void Network::fire_hop(void* self, std::uint32_t lane, std::uint64_t word) {
+  auto& net = *static_cast<Network*>(self);
+  const std::uint32_t dir = lane - net.lane_base_;
+  const auto child = static_cast<NodeId>(dir >> 1);
+  const NodeId parent = net.tree_.parent(child);
+  const PacketRef pkt = PacketRef::from_word(word);
+  if (dir & 1)
+    net.arrive(parent, child, pkt, PacketRef::mode_of(word));
+  else
+    net.arrive(child, parent, pkt, PacketRef::mode_of(word));
+}
+
+void Network::drop_hop(std::uint64_t word) {
+  PacketRef::from_word(word);  // adopts the word's reference and releases it
 }
 
 void Network::arrive(NodeId at, NodeId came_from, const PacketRef& pkt,
@@ -200,15 +281,15 @@ void Network::arrive(NodeId at, NodeId came_from, const PacketRef& pkt,
 
 void Network::multicast(NodeId from, const Packet& pkt) {
   CESRM_CHECK(from >= 0 && static_cast<std::size_t>(from) < agents_.size());
-  // One materialization; every hop closure shares the handle.
-  const auto ref = std::make_shared<const Packet>(pkt);
+  // One materialization; every hop shares the box.
+  const PacketRef ref = PacketRef::make(pkt);
   for (NodeId next : tree_.neighbors(from))
     send_hop(from, next, ref, Mode::kMulticast);
 }
 
 void Network::unicast(NodeId from, const Packet& pkt) {
   CESRM_CHECK(pkt.dest != kInvalidNode);
-  const auto ref = std::make_shared<const Packet>(pkt);
+  const PacketRef ref = PacketRef::make(pkt);
   if (from == pkt.dest) {
     // Degenerate self-send: deliver after zero hops at the next tick.
     // Always same-shard, so the sharded branch only differs in the tag.
@@ -231,24 +312,30 @@ void Network::leg_hop(NodeId cur, NodeId router, const PacketRef& pkt) {
   const auto type_idx = static_cast<std::size_t>(pkt->type);
   CrossingStats& stats = cur_stats();
   ++stats.unicast[type_idx];
-  stats.wire_bytes[type_idx] += pkt->encoded_size();
+  stats.wire_bytes[type_idx] += pkt.wire_bytes();
   if (crossing_lost(*pkt, cur, next)) return;  // leg lost: no subcast
-  const std::uint32_t lane = link_dir(cur, next);
-  const sim::SimTime arrival = transmit(lane, pkt->size_bytes);
-  engine_->schedule_from(cur, next, arrival, lane, [this, next, router, pkt] {
-    if (next == router) {
-      for (NodeId c : tree_.children(router))
-        send_hop(router, c, pkt, Mode::kSubcast);
-    } else {
-      leg_hop(next, router, pkt);
-    }
-  });
+  const sim::SimTime arrival = transmit(link_dir(cur, next), pkt->size_bytes);
+  // The leg continues to something other than arrive(), so it is a heap
+  // closure rather than a lane word; into another shard it carries its
+  // own box.
+  PacketRef leg = engine_->shard_of(next) == engine_->current_shard()
+                      ? pkt
+                      : PacketRef::make(*pkt);
+  engine_->schedule_from(cur, next, arrival,
+                         [this, next, router, ref = std::move(leg)] {
+                           if (next == router) {
+                             for (NodeId c : tree_.children(router))
+                               send_hop(router, c, ref, Mode::kSubcast);
+                           } else {
+                             leg_hop(next, router, ref);
+                           }
+                         });
 }
 
 void Network::unicast_subcast(NodeId from, NodeId router, const Packet& pkt) {
   CESRM_CHECK(router >= 0 &&
               static_cast<std::size_t>(router) < agents_.size());
-  const auto ref = std::make_shared<const Packet>(pkt);
+  const PacketRef ref = PacketRef::make(pkt);
   if (from == router) {
     // Already at the turning point: subcast immediately.
     auto fanout = [this, router, ref] {
@@ -283,8 +370,7 @@ void Network::unicast_subcast(NodeId from, NodeId router, const Packet& pkt) {
     const NodeId next = tree_.next_hop_toward(cur, router);
     CESRM_CHECK(next != kInvalidNode);
     ++stats_.unicast[static_cast<std::size_t>(leg.type)];
-    stats_.wire_bytes[static_cast<std::size_t>(leg.type)] +=
-        leg.encoded_size();
+    stats_.wire_bytes[static_cast<std::size_t>(leg.type)] += ref.wire_bytes();
     if (crossing_lost(leg, cur, next)) return;  // leg lost: no subcast
     // Approximate queueing on the leg by advancing the busy horizon as of
     // `when` (the hop's local send time).

@@ -170,15 +170,20 @@ class Network : public Transport {
  private:
   enum class Mode { kMulticast, kUnicast, kSubcast };
 
-  /// Internal ref-counted packet handle: an N-node flood materializes the
-  /// Packet once and every hop closure shares it, instead of copying the
-  /// packet into a fresh closure per tree edge.
-  using PacketRef = std::shared_ptr<const Packet>;
+  /// Internal ref-counted packet handle, one box per sent packet; see
+  /// network.cpp.
+  class PacketRef;
 
   /// Schedules the hop `from` → `to`; on arrival delivers to the agent at
   /// `to` (if any) and, in flood/subcast modes, keeps forwarding.
   void send_hop(NodeId from, NodeId to, const PacketRef& pkt, Mode mode);
   void arrive(NodeId at, NodeId came_from, const PacketRef& pkt, Mode mode);
+
+  /// LaneClient callbacks: a lane is a directed link (lane_base_ +
+  /// link_dir), its word a PacketRef::to_word hop.
+  static void fire_hop(void* self, std::uint32_t lane, std::uint64_t word);
+  static void drop_hop(std::uint64_t word);
+  sim::LaneClient lane_client() { return {&fire_hop, &drop_hop, this}; }
 
   /// Sharded-mode subcast leg: one event-chained unicast-accounted hop of
   /// `pkt` from `cur` toward `router`; on reaching the router, fans out
@@ -202,8 +207,8 @@ class Network : public Transport {
   sim::SimTime serialization_time(int size_bytes);
 
   /// Index of the directed tree edge `from` → `to`: 2·child + direction
-  /// (0 = down, parent→child; 1 = up). Indexes busy_ and doubles as the
-  /// edge's event-queue lane.
+  /// (0 = down, parent→child; 1 = up). Indexes busy_; the edge's
+  /// event-queue lane is lane_base_ + link_dir.
   std::uint32_t link_dir(NodeId from, NodeId to) const;
 
   /// The clock/scheduler of the calling context: the ctor simulator in
@@ -222,6 +227,9 @@ class Network : public Transport {
   NetworkConfig config_;
   std::vector<Agent*> agents_;
   std::vector<sim::SimTime> busy_;  ///< per directed link, see link_dir
+  /// First of the 2·tree.size() lanes reserved on the simulator (and, when
+  /// sharded, at the same id on every shard's).
+  std::uint32_t lane_base_;
   /// Indexed by child endpoint. Deliberately not vector<bool>: concurrent
   /// shards read distinct links, and packed bits would share bytes.
   std::vector<char> link_up_;

@@ -21,14 +21,19 @@
 //
 // FIFO lanes. Packet arrivals on one directed link are scheduled in key
 // order already (the link's busy horizon never decreases), so a flood
-// backlog need not sit in the heap. schedule_in_lane() appends such an
-// event to its lane — a FIFO of non-cancellable events — and the heap
+// backlog need not sit in the heap. A lane event is not a closure but a
+// (key, 8-byte word) pair: add_lanes() reserves a block of lanes for one
+// LaneClient, schedule_in_lane() appends a word to its lane, and the heap
 // holds only each lane's head, under the head's own (time, tag, sequence)
-// key; popping a head sifts the lane's next key in. An event whose key
-// does not sort after its lane's tail (delay jitter, a cross-shard
-// mailbox drain) goes to the heap instead under the same key, so every
+// key; popping a head hands its word to the client's fire() and sifts the
+// lane's next key in. An event whose key does not sort after its lane's
+// tail (delay jitter, a duplicated crossing) goes to the heap instead
+// under the same key, wrapped in a one-shot closure, so every
 // lane stays sorted and the pop order is exactly the one a single heap
-// would produce. Lane storage is one shared pool of fixed-size chunks.
+// would produce. A word the queue releases unfired — pending at
+// destruction, or a popped callback destroyed uncalled — goes to the
+// client's drop() exactly once, so words may own memory. Lane storage is
+// one shared pool of fixed-size chunks, 32 bytes per pending event.
 #pragma once
 
 #include <cstdint>
@@ -46,15 +51,31 @@ namespace cesrm::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
+/// The owner of a block of lanes (EventQueue::add_lanes): what a lane
+/// event's word means. fire(ctx, lane, word) runs the event; drop(word)
+/// releases a word that will never fire. Both must be non-null.
+struct LaneClient {
+  void (*fire)(void* ctx, std::uint32_t lane, std::uint64_t word) = nullptr;
+  void (*drop)(std::uint64_t word) = nullptr;
+  void* ctx = nullptr;
+};
+
 /// Min-heap of (time, callback) with O(1) allocation-free cancellation
-/// and per-lane FIFOs for in-order event streams. The schedule/cancel/pop
-/// hot path is defined inline below the class — every packet hop goes
-/// through it, so cross-TU call overhead matters. Callbacks are taken by
-/// rvalue reference: a closure is relocated once into storage and once
-/// out of it.
+/// and per-lane FIFOs of words for in-order event streams. The schedule/
+/// cancel/pop hot path is defined inline below the class — every packet
+/// hop goes through it, so cross-TU call overhead matters. Callbacks are
+/// taken by rvalue reference: a closure is relocated once into storage
+/// and once out of it.
 class EventQueue {
  public:
   using Callback = InlineFunction;
+
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  /// Drops every lane word still pending (heap-kept words drop with
+  /// their closures).
+  ~EventQueue();
 
   /// Schedules `cb` at absolute time `when`; returns its id. Ties at the
   /// same instant fire in schedule order (tag 0, FIFO).
@@ -69,14 +90,20 @@ class EventQueue {
   /// independent total order on cross-shard arrivals.
   EventId schedule_tagged(SimTime when, std::uint64_t tag, Callback&& cb);
 
-  /// Schedules a non-cancellable `cb` at `when` with ordering tag `tag`,
-  /// appended to FIFO lane `lane`. Fires exactly where schedule_tagged()
-  /// would have placed it; the lane only saves heap work when successive
-  /// events of one lane arrive in key order (the caller's promise for the
-  /// common case, checked per event — an out-of-order event is kept in
-  /// the heap instead).
+  /// Reserves `count` consecutive lanes owned by `client` and returns the
+  /// first lane id of the block. Blocks never overlap, so independent
+  /// clients (two networks on one simulator) keep their streams apart.
+  std::uint32_t add_lanes(std::uint32_t count, const LaneClient& client);
+
+  /// Schedules a non-cancellable event at `when` with ordering tag `tag`
+  /// on reserved lane `lane`: at its turn, `word` goes to the lane
+  /// client's fire(). Fires exactly where schedule_tagged() would have
+  /// placed it; the lane only saves heap work when successive events of
+  /// one lane arrive in key order (the caller's promise for the common
+  /// case, checked per event — an out-of-order word is kept in the heap
+  /// instead).
   void schedule_in_lane(std::uint32_t lane, SimTime when, std::uint64_t tag,
-                        Callback&& cb);
+                        std::uint64_t word);
 
   /// Cancels a pending event. Returns true if it was still pending;
   /// cancelling an already-fired or unknown id returns false.
@@ -102,8 +129,8 @@ class EventQueue {
   }
 
   /// Pops the earliest live event; fills `when`/`cb`/`id` (id is
-  /// kInvalidEventId for a lane event, which has none). Returns false
-  /// when the queue is empty.
+  /// kInvalidEventId for a lane event, which has none; its `cb` hands the
+  /// word to the lane client). Returns false when the queue is empty.
   bool pop(SimTime& when, Callback& cb, EventId& id) {
     drop_stale_top();
     if (heap_.empty()) return false;
@@ -161,12 +188,12 @@ class EventQueue {
     std::uint32_t gen;
   };
 
-  /// A block of kLaneChunk consecutive lane events. Keys and callbacks
-  /// are kept apart so the tail-order check reads only keys.
+  /// A block of kLaneChunk consecutive lane events. Keys and words are
+  /// kept apart so the tail-order check reads only keys.
   static constexpr std::uint32_t kLaneChunk = 16;
   struct LaneChunk {
     Key key[kLaneChunk];
-    Callback cb[kLaneChunk];
+    std::uint64_t word[kLaneChunk];
     LaneChunk* next = nullptr;
   };
 
@@ -177,6 +204,32 @@ class EventQueue {
     LaneChunk* tail = nullptr;
     std::uint32_t head_idx = 0;
     std::uint32_t tail_idx = 0;
+    LaneClient client;
+  };
+
+  /// A lane word outside its lane — popped into the caller's callback or
+  /// kept in the heap: fires once, and drops the word if destroyed
+  /// unfired.
+  struct LaneEvent {
+    LaneClient client;
+    std::uint64_t word;
+    std::uint32_t lane;
+    bool armed = true;
+
+    LaneEvent(const LaneClient& c, std::uint32_t l, std::uint64_t w)
+        : client(c), word(w), lane(l) {}
+    LaneEvent(LaneEvent&& o) noexcept
+        : client(o.client), word(o.word), lane(o.lane), armed(o.armed) {
+      o.armed = false;
+    }
+    LaneEvent& operator=(LaneEvent&&) = delete;
+    ~LaneEvent() {
+      if (armed) client.drop(word);
+    }
+    void operator()() {
+      armed = false;
+      client.fire(client.ctx, lane, word);
+    }
   };
 
   static std::uint32_t slot_of(EventId id) {
@@ -243,7 +296,7 @@ class EventQueue {
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = kNoSlot;
-  std::vector<Lane> lanes_;  ///< indexed by lane id, grown on first use
+  std::vector<Lane> lanes_;  ///< indexed by lane id, grown by add_lanes
   /// Owns every lane chunk ever allocated; idle ones sit on the free list.
   std::vector<std::unique_ptr<LaneChunk>> lane_chunks_;
   LaneChunk* free_lane_chunks_ = nullptr;
@@ -280,16 +333,16 @@ inline EventId EventQueue::schedule_tagged(SimTime when, std::uint64_t tag,
 }
 
 inline void EventQueue::schedule_in_lane(std::uint32_t lane, SimTime when,
-                                         std::uint64_t tag, Callback&& cb) {
-  CESRM_CHECK_MSG(cb != nullptr, "null event callback");
-  if (lane >= lanes_.size()) lanes_.resize(std::size_t{lane} + 1);
+                                         std::uint64_t tag,
+                                         std::uint64_t word) {
+  CESRM_CHECK_MSG(lane < lanes_.size(), "lane " << lane << " not reserved");
   Lane& l = lanes_[lane];
   if (l.head != nullptr) {
     // The new key's sequence is the largest yet, so it sorts after the
     // tail unless its (time, tag) is smaller.
     const Key& tail = l.tail->key[l.tail_idx - 1];
     if (when < tail.when || (when == tail.when && tag < tail.tag)) {
-      schedule_tagged(when, tag, std::move(cb));
+      schedule_tagged(when, tag, LaneEvent(l.client, lane, word));
       return;
     }
     if (l.tail_idx == kLaneChunk) {
@@ -304,7 +357,7 @@ inline void EventQueue::schedule_in_lane(std::uint32_t lane, SimTime when,
     push_heap(HeapEntry{Key{when, tag, next_seq_}, lane, kLaneGen});
   }
   l.tail->key[l.tail_idx] = Key{when, tag, next_seq_++};
-  l.tail->cb[l.tail_idx] = std::move(cb);
+  l.tail->word[l.tail_idx] = word;
   ++l.tail_idx;
   count_scheduled();
 }
@@ -371,8 +424,9 @@ inline void EventQueue::drop_stale_top() {
   while (!heap_.empty() && !entry_live(heap_.front())) remove_top();
 }
 
-/// Removes the (live) heap top's event and moves its callback into `cb`.
-/// A lane head is replaced in place by the lane's next key, if any.
+/// Removes the (live) heap top's event and moves its callback into `cb`
+/// (for a lane head, a LaneEvent carrying the head's word). A lane head
+/// is replaced in place by the lane's next key, if any.
 inline void EventQueue::take_top(SimTime& when, Callback& cb) {
   HeapEntry& top = heap_.front();
   when = top.key.when;
@@ -386,7 +440,7 @@ inline void EventQueue::take_top(SimTime& when, Callback& cb) {
   }
   Lane& l = lanes_[top.slot];
   LaneChunk* c = l.head;
-  cb = std::move(c->cb[l.head_idx++]);
+  cb = LaneEvent(l.client, top.slot, c->word[l.head_idx++]);
   if (c == l.tail && l.head_idx == l.tail_idx) {  // lane drained
     l.head = l.tail = nullptr;
     free_lane_chunk(c);
@@ -400,6 +454,37 @@ inline void EventQueue::take_top(SimTime& when, Callback& cb) {
   }
   top.key = l.head->key[l.head_idx];
   sift_down(0);
+  // The new top is almost always the next pop: start loading its lane's
+  // word and following key while this event runs.
+  const HeapEntry& next = heap_.front();
+  if (next.gen == kLaneGen) {
+    const Lane& nl = lanes_[next.slot];
+    __builtin_prefetch(&nl.head->word[nl.head_idx]);
+    __builtin_prefetch(&nl.head->key[nl.head_idx] + 1);
+  }
+}
+
+inline std::uint32_t EventQueue::add_lanes(std::uint32_t count,
+                                           const LaneClient& client) {
+  CESRM_CHECK_MSG(client.fire != nullptr && client.drop != nullptr,
+                  "lane client needs fire and drop");
+  const auto first = static_cast<std::uint32_t>(lanes_.size());
+  Lane lane;
+  lane.client = client;
+  lanes_.resize(lanes_.size() + count, lane);
+  return first;
+}
+
+inline EventQueue::~EventQueue() {
+  for (const Lane& l : lanes_) {
+    if (l.head == nullptr) continue;
+    for (const LaneChunk* c = l.head;; c = c->next) {
+      const std::uint32_t begin = c == l.head ? l.head_idx : 0;
+      const std::uint32_t end = c == l.tail ? l.tail_idx : kLaneChunk;
+      for (std::uint32_t i = begin; i < end; ++i) l.client.drop(c->word[i]);
+      if (c == l.tail) break;
+    }
+  }
 }
 
 }  // namespace cesrm::sim

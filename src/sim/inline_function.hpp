@@ -4,10 +4,12 @@
 // sweep; with std::function each schedule() pays a heap allocation for
 // any capture larger than the libstdc++ SBO (two pointers). InlineFunction
 // stores captures up to kInlineCapacity bytes directly inside the object
-// — sized so every simulator hop closure (this + endpoints + a
-// ref-counted packet handle + mode) fits — and falls back to the heap
-// only for oversized or throwing-move callables. Dispatch is a single
-// static ops-table pointer instead of std::function's vtable machinery.
+// and falls back to the heap only for oversized or throwing-move
+// callables. Dispatch is a single static ops-table pointer instead of
+// std::function's vtable machinery. Lane hops (the bulk of all events)
+// are not closures but 8-byte words in the queue's lanes, so the
+// capacity is sized for timers, fault-injection closures and the
+// remaining heap-scheduled hops, not for the flood backlog.
 //
 // Semantics: move-only (the queue never copies callbacks), callable
 // repeatedly (Timer invokes its stored callback on every expiry), and
@@ -23,10 +25,10 @@ namespace cesrm::sim {
 
 class InlineFunction {
  public:
-  /// Inline capture budget. The largest hot-path closure is Network's hop
-  /// continuation: {Network*, two NodeIds, a shared_ptr<const Packet>,
-  /// Mode} ≈ 40 bytes; 64 leaves headroom for fault-injection closures
-  /// without bloating the event-queue slot pool.
+  /// Inline capture budget. The largest hot-path closures — a lane word
+  /// popped or kept off its lane (LaneClient + word + lane ≈ 40 bytes),
+  /// a cross-shard hop {Network*, two NodeIds, a packet handle, Mode} —
+  /// fit with headroom for fault-injection closures.
   static constexpr std::size_t kInlineCapacity = 64;
 
   InlineFunction() = default;

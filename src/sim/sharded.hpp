@@ -92,17 +92,15 @@ class ShardedEngine {
       post(me, dest, when, tag, std::move(cb));
   }
 
-  /// As above for a non-cancellable event on FIFO lane `lane` (see
-  /// Simulator::schedule_in_lane): a same-shard destination joins the
-  /// lane; a cross-shard one still goes through the mailbox.
-  void schedule_from(int from, int dest, SimTime when, std::uint32_t lane,
-                     EventQueue::Callback&& cb) {
+  /// Schedules a non-cancellable event carrying `word` at `when` on FIFO
+  /// lane `lane` of the calling shard's simulator, tagged from location
+  /// `from` like schedule_from (see Simulator::schedule_in_lane). The
+  /// destination must live on the calling shard: a cross-shard event
+  /// goes through schedule_from's mailbox instead.
+  void schedule_in_lane_from(int from, SimTime when, std::uint32_t lane,
+                             std::uint64_t word) {
     const std::uint64_t tag = next_tag(from);
-    const std::size_t me = current_shard_index();
-    if (shard_of(dest) == static_cast<int>(me))
-      sims_[me]->schedule_in_lane(lane, when, tag, std::move(cb));
-    else
-      post(me, dest, when, tag, std::move(cb));
+    sims_[current_shard_index()]->schedule_in_lane(lane, when, tag, word);
   }
 
   /// Runs all shards to `horizon` (inclusive, like Simulator::run_until)

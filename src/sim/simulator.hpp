@@ -52,14 +52,21 @@ class Simulator {
     return queue_.schedule_tagged(when, tag, std::move(cb));
   }
 
-  /// Schedules a non-cancellable `cb` at `when` with ordering tag `tag`
-  /// on FIFO lane `lane` (see EventQueue::schedule_in_lane). It fires
-  /// exactly when schedule_at_tagged would have fired it; the network
-  /// puts each directed link's arrivals on one lane.
+  /// Reserves a block of `count` lanes for `client`; returns its first
+  /// lane id (see EventQueue::add_lanes).
+  std::uint32_t add_lanes(std::uint32_t count, const LaneClient& client) {
+    return queue_.add_lanes(count, client);
+  }
+
+  /// Schedules a non-cancellable event carrying `word` at `when` with
+  /// ordering tag `tag` on FIFO lane `lane` (see
+  /// EventQueue::schedule_in_lane). It fires exactly when
+  /// schedule_at_tagged would have fired it; the network puts each
+  /// directed link's arrivals on one lane.
   void schedule_in_lane(std::uint32_t lane, SimTime when, std::uint64_t tag,
-                        EventQueue::Callback&& cb) {
+                        std::uint64_t word) {
     check_not_past(when);
-    queue_.schedule_in_lane(lane, when, tag, std::move(cb));
+    queue_.schedule_in_lane(lane, when, tag, word);
   }
 
   /// Cancels a pending event; returns true if it had not yet fired.

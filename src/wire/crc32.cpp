@@ -5,25 +5,50 @@
 namespace cesrm::wire {
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+using Table = std::array<std::uint32_t, 256>;
+
+// Slicing-by-8: kTables[0] is the classic bytewise table; kTables[k][b] is
+// the CRC state after byte b followed by k zero bytes, so eight input
+// bytes fold into the state with eight independent lookups.
+constexpr std::array<Table, 8> make_tables() {
+  std::array<Table, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kTable = make_table();
+constexpr std::array<Table, 8> kTables = make_tables();
+
+/// Little-endian load of four bytes; any host, any alignment.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes)
-    c = kTable[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+        kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+        kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = kTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

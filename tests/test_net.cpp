@@ -3,8 +3,10 @@
 // their timing and loss semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "net/network.hpp"
 #include "net/packet.hpp"
@@ -667,6 +669,119 @@ TEST(Network, FloodBacklogWaitsInLinkLanesNotTheHeap) {
     for (std::size_t i = 0; i < d.size(); ++i)
       EXPECT_EQ(d[i].pkt.seq, static_cast<SeqNo>(i));
   }
+}
+
+TEST(Network, TwoNetworksOnOneSimulatorGetDisjointLaneBlocks) {
+  // Same tree, same simulator, different link delays: the fast network's
+  // hops would sort before the slow one's on a shared lane and spill
+  // into the heap. Each network owns its own lane block instead.
+  sim::Simulator sim;
+  const MulticastTree tree = small_tree();
+  NetworkConfig slow_cfg;
+  slow_cfg.link_delay = sim::SimTime::millis(100);
+  NetworkConfig fast_cfg;
+  fast_cfg.link_delay = sim::SimTime::millis(20);
+  Network slow(sim, tree, slow_cfg);
+  Network fast(sim, tree, fast_cfg);
+  const sim::LaneClient idle{[](void*, std::uint32_t, std::uint64_t) {},
+                             [](std::uint64_t) {}, nullptr};
+  EXPECT_EQ(sim.add_lanes(1, idle), 2 * 2 * tree.size());
+  std::map<NodeId, std::unique_ptr<RecordingAgent>> on_slow;
+  std::map<NodeId, std::unique_ptr<RecordingAgent>> on_fast;
+  for (NodeId n : {0, 3, 4, 5}) {
+    on_slow.emplace(n, std::make_unique<RecordingAgent>(sim, n));
+    slow.attach(n, on_slow[n].get());
+    on_fast.emplace(n, std::make_unique<RecordingAgent>(sim, n));
+    fast.attach(n, on_fast[n].get());
+  }
+  for (SeqNo s = 0; s < 20; ++s) slow.multicast(0, make_data_packet(0, s));
+  for (SeqNo s = 0; s < 20; ++s) fast.multicast(0, make_data_packet(0, s));
+  EXPECT_EQ(sim.pending_events(), 80u);  // two root links × 20 × 2 nets
+  EXPECT_LE(sim.heap_high_water(), 4u);  // one head per root link per net
+  sim.run();
+  for (NodeId n : {3, 4, 5}) {
+    for (const auto* agents : {&on_slow, &on_fast}) {
+      const auto& d = agents->at(n)->deliveries;
+      ASSERT_EQ(d.size(), 20u) << "node " << n;
+      for (std::size_t i = 0; i < d.size(); ++i) {
+        EXPECT_EQ(d[i].pkt.seq, static_cast<SeqNo>(i));
+        if (i > 0) {
+          EXPECT_LT(d[i - 1].at, d[i].at);
+        }
+      }
+    }
+    // Leaves sit two hops below the root: the slow network's first copy
+    // lands 2 × 80 ms after the fast one's.
+    EXPECT_EQ(on_slow[n]->deliveries[0].at - on_fast[n]->deliveries[0].at,
+              sim::SimTime::millis(160));
+  }
+}
+
+TEST(Network, ShardedDeliveryMatchesUnsharded) {
+  // Two shards: {0, 1, 3, 4} and {2, 5}. Floods, a unicast and a
+  // subcast leg cross between them through the mailboxes, each crossing
+  // with its own packet box; every member must see exactly what the
+  // single-simulator network delivers, at the same times. Sends are
+  // spaced so no link queues: the unsharded subcast leg reserves its
+  // links at send time, which only matches the hop chain on idle links.
+  const MulticastTree tree = small_tree();
+  const NetworkConfig cfg;
+  const std::vector<int> shard_of{0, 0, 1, 0, 0, 1};
+  using Seen = std::vector<std::tuple<sim::SimTime, PacketType, SeqNo>>;
+  const auto traffic = [](Network& net, auto&& sim_of) {
+    const auto at = [&](NodeId node, std::int64_t ms, auto send) {
+      sim_of(node).schedule_at(sim::SimTime::millis(ms), send);
+    };
+    at(0, 0, [&net] { net.multicast(0, make_data_packet(0, 1)); });
+    at(5, 200, [&net] { net.multicast(5, make_request_packet(5, 0, 1, 0.0)); });
+    at(3, 400, [&net] {
+      Packet p = make_request_packet(3, 0, 2, 0.0);
+      p.dest = 5;
+      net.unicast(3, p);
+    });
+    at(5, 600, [&net] {
+      RecoveryAnnotation ann;
+      ann.turning_point = 1;
+      net.unicast_subcast(5, 1, make_exp_reply_packet(5, 0, 2, ann));
+    });
+  };
+  const auto seen_by = [](const RecordingAgent& a) {
+    Seen seen;
+    for (const auto& d : a.deliveries)
+      seen.emplace_back(d.at, d.pkt.type, d.pkt.seq);
+    std::sort(seen.begin(), seen.end());
+    return seen;
+  };
+
+  NetFixture flat(cfg);
+  traffic(flat.network, [&flat](NodeId) -> sim::Simulator& { return flat.sim; });
+  flat.sim.run();
+
+  sim::ShardedEngine engine(shard_of, 2, cfg.link_delay);
+  Network sharded(engine.sim(0), tree, cfg);
+  sharded.enable_sharding(&engine);
+  const auto sim_of = [&engine, &shard_of](NodeId n) -> sim::Simulator& {
+    return engine.sim(shard_of[static_cast<std::size_t>(n)]);
+  };
+  std::map<NodeId, std::unique_ptr<RecordingAgent>> agents;
+  for (NodeId n : {0, 3, 4, 5}) {
+    agents.emplace(n, std::make_unique<RecordingAgent>(sim_of(n), n));
+    sharded.attach(n, agents[n].get());
+  }
+  traffic(sharded, sim_of);
+  engine.run_until(sim::SimTime::seconds(1));
+  EXPECT_GT(engine.cross_shard_posts(), 0u);
+
+  for (NodeId n : {0, 3, 4, 5}) {
+    EXPECT_FALSE(agents[n]->deliveries.empty()) << "node " << n;
+    EXPECT_EQ(seen_by(*agents[n]), seen_by(*flat.agents[n])) << "node " << n;
+  }
+  const CrossingStats a = flat.network.total_crossings();
+  const CrossingStats b = sharded.total_crossings();
+  EXPECT_EQ(a.multicast, b.multicast);
+  EXPECT_EQ(a.unicast, b.unicast);
+  EXPECT_EQ(a.subcast, b.subcast);
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
 }
 
 TEST(Network, PerturbNeverAppliesToDroppedPackets) {

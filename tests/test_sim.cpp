@@ -258,16 +258,27 @@ TEST(EventQueue, PopOrderMatchesStableSortProperty) {
   }
 }
 
+/// Test lane client: a word is an int label; fire() appends it to the
+/// std::vector<int> behind ctx.
+LaneClient log_words(std::vector<int>& out) {
+  return {[](void* ctx, std::uint32_t, std::uint64_t word) {
+            static_cast<std::vector<int>*>(ctx)->push_back(
+                static_cast<int>(word));
+          },
+          [](std::uint64_t) {}, &out};
+}
+
 TEST(EventQueue, LaneEventsPopInKeyOrderAmongHeapEvents) {
   EventQueue q;
   std::vector<int> order;
   const auto log = [&order](int i) { return [&order, i] { order.push_back(i); }; };
-  q.schedule_in_lane(3, SimTime::millis(1), 0, log(0));
+  const std::uint32_t lanes = q.add_lanes(8, log_words(order));
+  q.schedule_in_lane(lanes + 3, SimTime::millis(1), 0, 0);
   q.schedule(SimTime::millis(2), log(1));
-  q.schedule_in_lane(3, SimTime::millis(2), 0, log(2));  // tie: FIFO by seq
-  q.schedule_in_lane(3, SimTime::millis(2), 5, log(4));
+  q.schedule_in_lane(lanes + 3, SimTime::millis(2), 0, 2);  // tie: FIFO by seq
+  q.schedule_in_lane(lanes + 3, SimTime::millis(2), 5, 4);
   q.schedule_tagged(SimTime::millis(2), 1, log(3));
-  q.schedule_in_lane(7, SimTime::millis(2), 0, log(5));  // later seq than 2
+  q.schedule_in_lane(lanes + 7, SimTime::millis(2), 0, 5);  // later seq than 2
   EXPECT_EQ(q.size(), 6u);
   EXPECT_EQ(q.heap_high_water(), 4u);  // two lane heads + two heap events
   SimTime when;
@@ -286,9 +297,10 @@ TEST(EventQueue, LaneEventsPopInKeyOrderAmongHeapEvents) {
 TEST(EventQueue, OutOfOrderLaneEventFallsBackToTheHeap) {
   EventQueue q;
   std::vector<int> order;
-  q.schedule_in_lane(0, SimTime::millis(9), 0, [&] { order.push_back(9); });
-  q.schedule_in_lane(0, SimTime::millis(4), 0, [&] { order.push_back(4); });
-  q.schedule_in_lane(0, SimTime::millis(9), 0, [&] { order.push_back(10); });
+  const std::uint32_t lane = q.add_lanes(1, log_words(order));
+  q.schedule_in_lane(lane, SimTime::millis(9), 0, 9);
+  q.schedule_in_lane(lane, SimTime::millis(4), 0, 4);
+  q.schedule_in_lane(lane, SimTime::millis(9), 0, 10);
   EXPECT_EQ(q.heap_high_water(), 2u);  // the lane's head + the 4 ms event
   EXPECT_EQ(q.next_time(), SimTime::millis(4));
   SimTime when;
@@ -303,15 +315,29 @@ TEST(EventQueue, OutOfOrderLaneEventFallsBackToTheHeap) {
 
 TEST(EventQueue, LaneChunksRecycleAcrossDrains) {
   // A lane longer than one chunk, drained and refilled: FIFO order holds
-  // across chunk boundaries and pending callbacks die with the queue.
+  // across chunk boundaries and pending words die with the queue. A
+  // `holders` word owns a heap-allocated shared_ptr copy of `alive`.
   auto alive = std::make_shared<int>(0);
+  using Holder = std::shared_ptr<int>;
+  const LaneClient holders{
+      [](void*, std::uint32_t, std::uint64_t word) {
+        auto* h = reinterpret_cast<Holder*>(static_cast<std::uintptr_t>(word));
+        ++**h;
+        delete h;
+      },
+      [](std::uint64_t word) {
+        delete reinterpret_cast<Holder*>(static_cast<std::uintptr_t>(word));
+      },
+      nullptr};
   {
     EventQueue q;
     std::vector<int> order;
+    const std::uint32_t lanes = q.add_lanes(3, log_words(order));
+    const std::uint32_t held = q.add_lanes(1, holders);
     for (int round = 0; round < 3; ++round) {
       for (int i = 0; i < 40; ++i)
-        q.schedule_in_lane(2, SimTime::millis(round * 100 + i / 3), 0,
-                           [&order, i] { order.push_back(i); });
+        q.schedule_in_lane(lanes + 2, SimTime::millis(round * 100 + i / 3), 0,
+                           static_cast<std::uint64_t>(i));
       SimTime when;
       EventQueue::Callback cb;
       while (q.pop_before(SimTime::millis(round * 100 + 100), when, cb)) cb();
@@ -319,10 +345,56 @@ TEST(EventQueue, LaneChunksRecycleAcrossDrains) {
       for (int i = 0; i < 40; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
       order.clear();
     }
-    q.schedule_in_lane(2, SimTime::millis(1000), 0, [alive] { ++*alive; });
+    q.schedule_in_lane(held, SimTime::millis(1000), 0,
+                       reinterpret_cast<std::uintptr_t>(new Holder(alive)));
     EXPECT_EQ(alive.use_count(), 2);
   }
   EXPECT_EQ(alive.use_count(), 1);
+  EXPECT_EQ(*alive, 0);
+}
+
+TEST(EventQueue, EveryLaneWordFiresOrDropsExactlyOnce) {
+  // A queue destroyed with words pending in lanes and in the heap (kept
+  // off a lane out of order), plus a popped lane callback destroyed
+  // uncalled: each word either fired or was dropped, exactly once.
+  static std::vector<int>* fired = nullptr;
+  static std::vector<int>* dropped = nullptr;
+  std::vector<int> fires(200, 0);
+  std::vector<int> drops(200, 0);
+  fired = &fires;
+  dropped = &drops;
+  const LaneClient counting{
+      [](void*, std::uint32_t, std::uint64_t word) { ++(*fired)[word]; },
+      [](std::uint64_t word) { ++(*dropped)[word]; }, nullptr};
+  util::Rng rng(7);
+  std::size_t heap_kept = 0;
+  {
+    EventQueue q;
+    const std::uint32_t lanes = q.add_lanes(4, counting);
+    std::vector<SimTime> tail(4, SimTime::zero());
+    for (std::uint64_t w = 0; w < 200; ++w) {
+      const auto lane = static_cast<std::uint32_t>(rng.uniform_int(0, 3));
+      const SimTime when = SimTime::micros(rng.uniform_int(0, 5000));
+      if (when < tail[lane]) ++heap_kept; else tail[lane] = when;
+      q.schedule_in_lane(lanes + lane, when, 0, w);
+    }
+    SimTime when;
+    for (int i = 0; i < 60; ++i) {
+      EventQueue::Callback cb;
+      ASSERT_TRUE(q.pop_before(SimTime::infinity(), when, cb));
+      if (i % 5 != 0) cb();  // every fifth popped callback dies uncalled
+    }
+  }
+  EXPECT_GT(heap_kept, 0u);
+  int total_fires = 0;
+  int total_drops = 0;
+  for (std::size_t w = 0; w < 200; ++w) {
+    EXPECT_EQ(fires[w] + drops[w], 1) << "word " << w;
+    total_fires += fires[w];
+    total_drops += drops[w];
+  }
+  EXPECT_EQ(total_fires, 48);
+  EXPECT_EQ(total_fires + total_drops, 200);
 }
 
 TEST(EventQueue, LanesMatchAReferenceQueueProperty) {
@@ -337,6 +409,7 @@ TEST(EventQueue, LanesMatchAReferenceQueueProperty) {
     Simulator ref;
     std::vector<int> got;
     std::vector<int> want;
+    const std::uint32_t lanes = sim.add_lanes(6, log_words(got));
     std::vector<std::pair<EventId, EventId>> cancellable;
     struct LaneTail {
       SimTime when;
@@ -373,8 +446,8 @@ TEST(EventQueue, LanesMatchAReferenceQueueProperty) {
           ++out_of_order;
         else
           t = {at, at_tag};
-        sim.schedule_in_lane(static_cast<std::uint32_t>(lane), at, at_tag,
-                             mine);
+        sim.schedule_in_lane(lanes + static_cast<std::uint32_t>(lane), at,
+                             at_tag, static_cast<std::uint64_t>(l));
         ref.schedule_at_tagged(at, at_tag, theirs);
       } else if (roll < 75 && !cancellable.empty()) {
         const auto i = static_cast<std::size_t>(rng.uniform_int(

@@ -4,7 +4,8 @@
 // streaming Decoder, byte-accurate Encoder accounting, the committed
 // regression corpus, and a structure-aware mutation fuzzer run as a plain
 // deterministic CTest (>= 100k iterations; CESRM_WIRE_FUZZ_ITERS scales it
-// up for CI smoke runs under ASan).
+// up for CI smoke runs under ASan), and the journal's CRC-32 against its
+// known answer and a bytewise reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "srm/srm_agent.hpp"
 #include "util/rng.hpp"
 #include "wire/codec.hpp"
+#include "wire/crc32.hpp"
 #include "wire/random.hpp"
 
 namespace cesrm::wire {
@@ -648,6 +650,52 @@ TEST(WireFuzz, MutatedFramesNeverBreakTheDecoder) {
         << "kind never hit: "
         << decode_error_name(static_cast<DecodeErrorKind>(k));
   EXPECT_GT(accepted, 0u);
+}
+
+// ----------------------------------------------------------------- CRC-32 ----
+
+/// The textbook byte-at-a-time CRC-32 the sliced one must equal.
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t n,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(WireCrc32, KnownAnswer) {
+  const std::string check = "123456789";
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
+  EXPECT_EQ(crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+  // Chaining: the checksum of the pieces is the checksum of the whole.
+  EXPECT_EQ(crc32(bytes.subspan(4), crc32(bytes.first(4))), 0xCBF43926u);
+}
+
+TEST(WireCrc32, MatchesTheBytewiseReference) {
+  util::Rng rng(0xC7C32);
+  Bytes buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; offset + len <= 1024; ++len) {
+      const auto seed = static_cast<std::uint32_t>(
+          rng.uniform_int(0, 0xFFFFFFFF));
+      const std::span<const std::uint8_t> piece(buf.data() + offset, len);
+      ASSERT_EQ(crc32(piece), crc32_bytewise(piece.data(), len, 0))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(crc32(piece, seed), crc32_bytewise(piece.data(), len, seed))
+          << "offset " << offset << " len " << len << " seed " << seed;
+      // Split anywhere and chain: same answer as one pass.
+      const auto cut = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(len)));
+      ASSERT_EQ(crc32(piece.subspan(cut), crc32(piece.first(cut), seed)),
+                crc32(piece, seed))
+          << "offset " << offset << " len " << len << " cut " << cut;
+    }
+  }
 }
 
 }  // namespace
