@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "infer/link_estimator.hpp"
-#include "util/logging.hpp"
 #include "util/proc.hpp"
 
 namespace cesrm::bench {
@@ -83,38 +82,8 @@ bool read_common_flags(const util::CliFlags& flags, BenchOptions* out) {
   out->base.seed = out->seed;
   out->base.network.link_delay = sim::SimTime::millis(out->link_delay_ms);
   out->base.lossy_recovery = flags.get_bool("lossy-recovery");
-  const auto cache_policy =
-      cesrm::try_parse_cache_policy(flags.get_string("cache-policy"));
-  if (!cache_policy) {
-    std::cerr << "bad --cache-policy: '" << flags.get_string("cache-policy")
-              << "' (valid: " << cesrm::cache_policy_names() << ")\n";
-    return false;
-  }
-  out->base.cesrm.cache.policy = *cache_policy;
-  const auto durable_mode =
-      durable::try_parse_durable_mode(flags.get_string("durable"));
-  if (!durable_mode) {
-    std::cerr << "bad --durable: '" << flags.get_string("durable")
-              << "' (valid: " << durable::durable_mode_names() << ")\n";
-    return false;
-  }
-  out->base.durable.mode = *durable_mode;
-  const std::string log_level = flags.get_string("log-level");
-  const auto level = util::try_parse_log_level(log_level);
-  if (!level) {
-    std::cerr << "bad --log-level: '" << log_level
-              << "' (valid: " << util::log_level_spellings() << ")\n";
-    return false;
-  }
-  util::set_log_threshold(*level);
+  if (!harness::read_run_flags(flags, &out->base)) return false;
   const std::string trace_out = flags.get_string("trace-out");
-  if (!trace_out.empty() && !trace_out.ends_with(".json") &&
-      !trace_out.ends_with(".jsonl")) {
-    std::cerr << "bad --trace-out: '" << trace_out
-              << "' (want a .json path for Chrome trace_event format or "
-                 ".jsonl for one event per line)\n";
-    return false;
-  }
   const std::string metrics_out = flags.get_string("metrics-out");
   const std::string stream_out = flags.get_string("stream-out");
   if (!trace_out.empty() || !metrics_out.empty() || !stream_out.empty()) {
@@ -122,8 +91,6 @@ bool read_common_flags(const util::CliFlags& flags, BenchOptions* out) {
     out->obs->trace_path = trace_out;
     out->obs->metrics_path = metrics_out;
     out->obs->stream_path = stream_out;
-    out->base.observe.trace = !trace_out.empty();
-    out->base.observe.metrics = !metrics_out.empty();
     out->base.observe.stream = !stream_out.empty();
   }
   const std::string slo = flags.get_string("slo");

@@ -13,29 +13,17 @@
 // midpoint, reporting recovery latency, retransmission exposure, and the
 // post-crash latency spike.
 
-#include <functional>
 #include <iostream>
 
 #include "net/network.hpp"
 #include "bench_common.hpp"
-#include "cesrm/cesrm_agent.hpp"
-#include "infer/link_estimator.hpp"
-#include "lms/lms_agent.hpp"
+#include "harness/group.hpp"
+#include "lms/directory.hpp"
 #include "util/stats.hpp"
 
 namespace {
 
 using namespace cesrm;
-
-enum class Proto { kSrm, kCesrm, kLms };
-const char* proto_name(Proto p) {
-  switch (p) {
-    case Proto::kSrm: return "SRM";
-    case Proto::kCesrm: return "CESRM";
-    case Proto::kLms: return "LMS";
-  }
-  return "?";
-}
 
 struct RunOutcome {
   util::OnlineStats pre_latency;     // normalized, detections before crash
@@ -45,7 +33,7 @@ struct RunOutcome {
   double exposure = 0.0;  // retransmission link crossings per recovery
 };
 
-RunOutcome run(Proto proto, const trace::GeneratedTrace& gen,
+RunOutcome run(Protocol proto, const trace::GeneratedTrace& gen,
                const infer::LinkTraceRepresentation& links,
                const bench::BenchOptions& opts, bool crash) {
   const auto& tree = gen.loss->tree();
@@ -53,30 +41,15 @@ RunOutcome run(Proto proto, const trace::GeneratedTrace& gen,
   net::Network network(sim, tree, opts.base.network);
   util::Rng rng(opts.seed);
 
-  lms::LmsDirectory directory(sim, tree, sim::SimTime::seconds(10));
-  lms::LmsConfig lms_cfg;
-  lms_cfg.srm = opts.base.cesrm.srm;
+  // Every protocol's run keeps a directory: the crash scenario picks its
+  // victim from LMS's designations for all three.
+  lms::LmsDirectory directory(sim, tree, harness::kLmsRepairDelay);
 
   std::vector<std::unique_ptr<srm::SrmAgent>> agents;
-  std::vector<net::NodeId> member_nodes{tree.root()};
-  for (net::NodeId r : tree.receivers()) member_nodes.push_back(r);
-  for (net::NodeId nid : member_nodes) {
-    util::Rng agent_rng = rng.fork(static_cast<std::uint64_t>(nid) + 1);
-    switch (proto) {
-      case Proto::kSrm:
-        agents.push_back(std::make_unique<srm::SrmAgent>(
-            sim, network, nid, tree.root(), opts.base.cesrm.srm, agent_rng));
-        break;
-      case Proto::kCesrm:
-        agents.push_back(std::make_unique<::cesrm::cesrm::CesrmAgent>(
-            sim, network, nid, tree.root(), opts.base.cesrm, agent_rng));
-        break;
-      case Proto::kLms:
-        agents.push_back(std::make_unique<lms::LmsAgent>(
-            sim, network, nid, tree.root(), lms_cfg, directory, agent_rng));
-        break;
-    }
-  }
+  for (net::NodeId nid : harness::group_members(tree))
+    agents.push_back(harness::make_agent(proto, opts.base.cesrm, &directory,
+                                         sim, network, nid, tree.root(),
+                                         rng));
   network.set_drop_fn([&](const net::Packet& pkt, net::NodeId from,
                           net::NodeId to) {
     if (pkt.type != net::PacketType::kData) return false;
@@ -85,18 +58,16 @@ RunOutcome run(Proto proto, const trace::GeneratedTrace& gen,
     return std::binary_search(drops.begin(), drops.end(), to);
   });
   for (auto& agent : agents)
-    agent->start_session(sim::SimTime::millis(rng.uniform_int(0, 999)));
+    agent->start_session(
+        harness::session_offset(rng, opts.base.cesrm.srm.session_period));
 
   const sim::SimTime warmup = sim::SimTime::seconds(5);
   const net::SeqNo packets = gen.loss->packet_count();
   srm::SrmAgent* src = agents.front().get();
-  std::function<void(net::SeqNo)> send_next = [&](net::SeqNo seq) {
-    src->send_data(seq);
-    if (seq + 1 < packets)
-      sim.schedule_in(gen.loss->period(),
-                      [&send_next, seq] { send_next(seq + 1); });
-  };
-  sim.schedule_at(warmup, [&send_next] { send_next(0); });
+  harness::PeriodicSource data_source(
+      sim, gen.loss->period(), packets,
+      [src](net::SeqNo seq) { src->send_data(seq); });
+  data_source.start(warmup);
 
   // Crash scenario: at the midpoint, kill the receiver LMS designates at
   // the most routers — the worst case for stale replier state, and the
@@ -129,18 +100,16 @@ RunOutcome run(Proto proto, const trace::GeneratedTrace& gen,
   RunOutcome out;
   std::uint64_t recoveries = 0;
   for (auto& agent : agents) {
-    agent->stop_session();
-    agent->finalize_stats();
-    if (agent->failed() || agent->node() == tree.root()) continue;
-    const double rtt =
-        2.0 * network.path_delay(agent->node(), tree.root()).to_seconds();
-    for (const auto& r : agent->stats().recoveries) {
+    const harness::MemberResult m =
+        harness::collect_member(*agent, network, tree.root());
+    if (m.failed || m.is_source) continue;
+    for (const auto& r : m.stats.recoveries) {
       if (!r.recovered) {
         ++out.unrecovered;
         continue;
       }
       ++recoveries;
-      const double norm = r.latency_seconds() / rtt;
+      const double norm = r.latency_seconds() / m.rtt_to_source;
       (r.detect_time < midpoint ? out.pre_latency : out.post_latency)
           .add(norm);
       if (r.detect_time >= midpoint &&
@@ -176,11 +145,13 @@ int main(int argc, char** argv) {
   table.set_align(0, util::Align::kLeft);
   table.set_align(1, util::Align::kLeft);
 
-  // The LMS comparison needs custom agents and crash scheduling, so it
-  // keeps its hand-built run() loop. Trace preparation goes through the
-  // runner's shared cache and the 6 (protocol × {healthy, churned})
-  // simulations per trace fan out over --jobs worker threads.
-  const Proto protos[] = {Proto::kSrm, Proto::kCesrm, Proto::kLms};
+  // The LMS comparison needs its midpoint crash and a latency split around
+  // it, so it keeps its own run() over the shared group steps. Trace
+  // preparation goes through the runner's shared cache and the 6
+  // (protocol × {healthy, churned}) simulations per trace fan out over
+  // --jobs worker threads.
+  const Protocol protos[] = {Protocol::kSrm, Protocol::kCesrm,
+                             Protocol::kLms};
   const auto specs = bench::selected_specs(opts);
   auto runner = bench::make_runner(opts);
   const auto prepared = runner.prepare(specs);
@@ -202,13 +173,13 @@ int main(int argc, char** argv) {
     const auto& spec = specs[i];
     bool first = true;
     for (std::size_t p = 0; p < 3; ++p) {
-      const Proto proto = protos[p];
+      const Protocol proto = protos[p];
       const auto& healthy = cells[i * 3 + p].healthy;
       const auto& churned = cells[i * 3 + p].churned;
       util::OnlineStats healthy_all = healthy.pre_latency;
       healthy_all.merge(healthy.post_latency);
       table.add_row(
-          {first ? spec.name : "", proto_name(proto),
+          {first ? spec.name : "", protocol_name(proto),
            util::fmt_fixed(healthy_all.mean(), 3),
            churned.window_latency.empty()
                ? "-"

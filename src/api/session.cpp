@@ -148,6 +148,10 @@ MulticastSession& MulticastGroup::join(net::NodeId node,
                                        SessionConfig config) {
   CESRM_CHECK_MSG(members_.count(node) == 0,
                   "node " << node << " already joined");
+  CESRM_CHECK_MSG(config.protocol != Protocol::kLms,
+                  "api sessions support srm and cesrm only: lms needs a "
+                  "router replier directory, which a session group does "
+                  "not model");
   // Fail fast with a friendly message instead of silently degrading: api
   // sessions have no loss ground truth to back a CacheSideInfo, so the
   // policies that need one cannot do better than recency here.

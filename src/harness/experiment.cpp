@@ -1,7 +1,6 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <optional>
 
@@ -13,54 +12,50 @@
 
 namespace cesrm::harness {
 
+namespace {
+
+/// One per-member counter summed over the members.
+std::uint64_t sum_of(const std::vector<MemberResult>& members,
+                     std::uint64_t srm::HostStats::*counter) {
+  std::uint64_t n = 0;
+  for (const auto& m : members) n += m.stats.*counter;
+  return n;
+}
+
+/// Recovery records over all members whose outcome is `recovered`.
+std::uint64_t count_recoveries(const std::vector<MemberResult>& members,
+                               bool recovered) {
+  std::uint64_t n = 0;
+  for (const auto& m : members)
+    for (const auto& r : m.stats.recoveries) n += r.recovered == recovered;
+  return n;
+}
+
+}  // namespace
+
 std::uint64_t ExperimentResult::total_losses_detected() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members) n += m.stats.losses_detected;
-  return n;
+  return sum_of(members, &srm::HostStats::losses_detected);
 }
-
 std::uint64_t ExperimentResult::total_silent_repairs() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members) n += m.stats.repairs_before_detection;
-  return n;
+  return sum_of(members, &srm::HostStats::repairs_before_detection);
 }
-
 std::uint64_t ExperimentResult::total_recovered() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members)
-    for (const auto& r : m.stats.recoveries) n += r.recovered ? 1 : 0;
-  return n;
+  return count_recoveries(members, true);
 }
-
 std::uint64_t ExperimentResult::total_unrecovered() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members)
-    for (const auto& r : m.stats.recoveries) n += r.recovered ? 0 : 1;
-  return n;
+  return count_recoveries(members, false);
 }
-
 std::uint64_t ExperimentResult::total_requests_sent() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members) n += m.stats.requests_sent;
-  return n;
+  return sum_of(members, &srm::HostStats::requests_sent);
 }
-
 std::uint64_t ExperimentResult::total_replies_sent() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members) n += m.stats.replies_sent;
-  return n;
+  return sum_of(members, &srm::HostStats::replies_sent);
 }
-
 std::uint64_t ExperimentResult::total_exp_requests_sent() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members) n += m.stats.exp_requests_sent;
-  return n;
+  return sum_of(members, &srm::HostStats::exp_requests_sent);
 }
-
 std::uint64_t ExperimentResult::total_exp_replies_sent() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members) n += m.stats.exp_replies_sent;
-  return n;
+  return sum_of(members, &srm::HostStats::exp_replies_sent);
 }
 
 double ExperimentResult::mean_normalized_recovery_time() const {
@@ -113,6 +108,10 @@ ExperimentResult run_experiment_impl(
     const trace::LossTrace& loss_trace,
     const infer::LinkTraceRepresentation& links,
     const ExperimentConfig& config) {
+  CESRM_CHECK_MSG(config.protocol != Protocol::kLms || config.faults.empty(),
+                  "LMS runs take no fault plan: the invariant oracle's "
+                  "stall check reads SRM request timers, which LmsAgent "
+                  "disarms");
   const auto& tree = loss_trace.tree();
   sim::Simulator sim;
 
@@ -122,16 +121,13 @@ ExperimentResult run_experiment_impl(
   if (config.observe.enabled()) {
     recorder.emplace(config.observe);
     sim.set_recorder(&*recorder);
-    if (config.observe.profile) sim.enable_profiling(true);
   }
 
   net::Network network(sim, tree, config.network);
   util::Rng rng(config.seed);
 
-  // --- members: source first, then receivers in tree order -------------
   const net::NodeId source = tree.root();
-  std::vector<net::NodeId> member_nodes{source};
-  for (net::NodeId r : tree.receivers()) member_nodes.push_back(r);
+  const std::vector<net::NodeId> member_nodes = group_members(tree);
 
   // Side info for the oracle cache policy. Auto-installed from the trace
   // when the selected policy wants it and the caller did not supply its
@@ -145,18 +141,16 @@ ExperimentResult run_experiment_impl(
     cesrm_cfg.cache.side_info = &*side_info;
   }
 
+  std::optional<lms::LmsDirectory> directory;
+  if (config.protocol == Protocol::kLms)
+    directory.emplace(sim, tree, kLmsRepairDelay);
+
   std::vector<std::unique_ptr<srm::SrmAgent>> agents;
   agents.reserve(member_nodes.size());
-  for (net::NodeId node : member_nodes) {
-    util::Rng agent_rng = rng.fork(static_cast<std::uint64_t>(node) + 1);
-    if (config.protocol == Protocol::kCesrm) {
-      agents.push_back(std::make_unique<cesrm::CesrmAgent>(
-          sim, network, node, source, cesrm_cfg, agent_rng));
-    } else {
-      agents.push_back(std::make_unique<srm::SrmAgent>(
-          sim, network, node, source, config.cesrm.srm, agent_rng));
-    }
-  }
+  for (net::NodeId node : member_nodes)
+    agents.push_back(make_agent(config.protocol, cesrm_cfg,
+                                directory ? &*directory : nullptr, sim,
+                                network, node, source, rng));
 
   // --- durable recovery state --------------------------------------------
   // Mode off constructs nothing: the agents keep their null sinks and the
@@ -224,36 +218,25 @@ ExperimentResult run_experiment_impl(
     network.set_drop_fn(std::move(base_drop));
 
   // --- session warm-up ---------------------------------------------------
-  for (auto& agent : agents) {
-    const auto offset = sim::SimTime::millis(rng.uniform_int(
-        0, config.cesrm.srm.session_period.ns() / 1000000 - 1));
-    agent->start_session(offset);
-  }
+  for (auto& agent : agents)
+    agent->start_session(session_offset(rng, config.cesrm.srm.session_period));
 
   // --- data transmission --------------------------------------------------
   net::SeqNo packet_count = loss_trace.packet_count();
   if (config.max_packets > 0)
     packet_count = std::min(packet_count, config.max_packets);
   srm::SrmAgent* src_agent = agents.front().get();
-  net::SeqNo packets_sent = 0;
-  // Chained scheduling keeps the pending-event set small. A blocked source
-  // (pause clause, or a crashed source) defers the pending packet to the
-  // resume time — sequence numbers stay consecutive — and a crash-stopped
-  // source simply ends the transmission early.
-  std::function<void(net::SeqNo)> send_next = [&](net::SeqNo seq) {
-    if (faults && faults->source_blocked()) {
-      const sim::SimTime resume = faults->source_resume_time();
-      if (resume < sim::SimTime::infinity())
-        sim.schedule_at(resume, [&send_next, seq] { send_next(seq); });
-      return;
-    }
-    src_agent->send_data(seq);
-    ++packets_sent;
-    if (seq + 1 < packet_count)
-      sim.schedule_in(loss_trace.period(),
-                      [&send_next, seq] { send_next(seq + 1); });
-  };
-  sim.schedule_at(config.warmup, [&send_next] { send_next(0); });
+  // A blocked source (pause clause, or a crashed source) defers the
+  // pending packet to the resume time, and a crash-stopped source simply
+  // ends the transmission early.
+  PeriodicSource data_source(
+      sim, loss_trace.period(), packet_count,
+      [src_agent](net::SeqNo seq) { src_agent->send_data(seq); },
+      [&faults]() -> std::optional<sim::SimTime> {
+        if (!faults || !faults->source_blocked()) return std::nullopt;
+        return faults->source_resume_time();
+      });
+  data_source.start(config.warmup);
 
   sim::SimTime horizon =
       config.warmup +
@@ -267,7 +250,7 @@ ExperimentResult run_experiment_impl(
     oracle->start(horizon);
   }
   sim.run_until(horizon);
-  if (oracle) oracle->finish(packets_sent, source);
+  if (oracle) oracle->finish(data_source.sent(), source);
 
   // --- collection ---------------------------------------------------------
   ExperimentResult result;
@@ -275,19 +258,9 @@ ExperimentResult run_experiment_impl(
   result.protocol = config.protocol;
   result.events_executed = sim.events_executed();
   result.sim_end = sim.now();
-  result.packets_sent = packets_sent;
-  for (std::size_t i = 0; i < agents.size(); ++i) {
-    agents[i]->stop_session();
-    agents[i]->finalize_stats();
-    MemberResult m;
-    m.node = member_nodes[i];
-    m.is_source = member_nodes[i] == source;
-    m.failed = agents[i]->failed();
-    m.stats = agents[i]->stats();
-    m.rtt_to_source =
-        2.0 * network.path_delay(member_nodes[i], source).to_seconds();
-    result.members.push_back(std::move(m));
-  }
+  result.packets_sent = data_source.sent();
+  for (auto& agent : agents)
+    result.members.push_back(collect_member(*agent, network, source));
   result.crossings = network.crossings();
 
   if (recorder) {
@@ -295,7 +268,6 @@ ExperimentResult run_experiment_impl(
       result.events = std::make_shared<const std::vector<obs::TraceEvent>>(
           recorder->take_events());
     if (config.observe.stream) result.sketch = recorder->take_sketch();
-    if (config.observe.profile) result.wall_profile = sim.wall_per_sim_second();
     if (config.observe.metrics) {
       obs::MetricsRegistry reg;
       for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
@@ -321,21 +293,15 @@ ExperimentResult run_experiment_impl(
       // byte-identical to the pre-laboratory output.
       if (config.protocol == Protocol::kCesrm &&
           cesrm_cfg.cache.policy != cesrm::CachePolicyKind::kRecency) {
-        cesrm::CacheStats cache_totals;
-        for (const auto& m : result.members) {
-          cache_totals.hits += m.stats.cache_hits;
-          cache_totals.misses += m.stats.cache_misses;
-          cache_totals.insertions += m.stats.cache_insertions;
-          cache_totals.updates += m.stats.cache_updates;
-          cache_totals.evictions += m.stats.cache_evictions;
-          cache_totals.rejects += m.stats.cache_rejects;
-        }
-        reg.add("cache.hits", cache_totals.hits);
-        reg.add("cache.misses", cache_totals.misses);
-        reg.add("cache.insertions", cache_totals.insertions);
-        reg.add("cache.updates", cache_totals.updates);
-        reg.add("cache.evictions", cache_totals.evictions);
-        reg.add("cache.rejects", cache_totals.rejects);
+        const auto& ms = result.members;
+        reg.add("cache.hits", sum_of(ms, &srm::HostStats::cache_hits));
+        reg.add("cache.misses", sum_of(ms, &srm::HostStats::cache_misses));
+        reg.add("cache.insertions",
+                sum_of(ms, &srm::HostStats::cache_insertions));
+        reg.add("cache.updates", sum_of(ms, &srm::HostStats::cache_updates));
+        reg.add("cache.evictions",
+                sum_of(ms, &srm::HostStats::cache_evictions));
+        reg.add("cache.rejects", sum_of(ms, &srm::HostStats::cache_rejects));
       }
       // Durable-store counters. Only when durability is on: with the
       // default (off) every metrics artifact stays byte-identical to the
@@ -349,14 +315,12 @@ ExperimentResult run_experiment_impl(
         reg.add("durable.records_restored", t.records_restored);
         reg.add("durable.records_skipped_invalid", t.records_skipped_invalid);
         reg.add("durable.truncated_scans", t.truncated_scans);
-        std::uint64_t suppressed = 0;
-        std::uint64_t dup_served = 0;
-        for (const auto& m : result.members) {
-          suppressed += m.stats.retransmissions_suppressed;
-          dup_served += m.stats.duplicate_retransmissions_served;
-        }
-        reg.add("durable.retransmissions_suppressed", suppressed);
-        reg.add("durable.duplicate_retransmissions_served", dup_served);
+        reg.add("durable.retransmissions_suppressed",
+                sum_of(result.members,
+                       &srm::HostStats::retransmissions_suppressed));
+        reg.add("durable.duplicate_retransmissions_served",
+                sum_of(result.members,
+                       &srm::HostStats::duplicate_retransmissions_served));
       }
       util::Histogram& lat =
           reg.histogram("recovery.latency_norm", 0.0, 50.0, 100);

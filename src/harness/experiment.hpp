@@ -1,12 +1,12 @@
 // experiment.hpp — trace-driven protocol experiments (§4.3).
 //
 // run_experiment() reenacts one IP multicast transmission: it builds the
-// trace's tree and network, attaches an SRM or CESRM agent at the source
-// and at every receiver, lets the members exchange session messages for a
-// warm-up period (so distance estimates converge before data flows, as in
-// the paper), then transmits the packets at the trace's period while the
-// network drops each data packet on exactly the links the link trace
-// representation names. Recovery traffic is lossless by default; the
+// trace's tree and network, attaches an SRM, CESRM or LMS agent at the
+// source and at every receiver (the group steps of group.hpp), lets the
+// members exchange session messages for a warm-up period (so distance
+// estimates converge before data flows, as in the paper), then transmits
+// the packets at the trace's period while the network drops each data
+// packet on exactly the links the link trace representation names. Recovery traffic is lossless by default; the
 // lossy-recovery mode drops it randomly according to the per-link loss
 // estimates (the paper's robustness remark in §4.3).
 #pragma once
@@ -20,6 +20,7 @@
 #include "cesrm/cesrm_agent.hpp"
 #include "durable/store.hpp"
 #include "fault/fault_plan.hpp"
+#include "harness/group.hpp"
 #include "infer/link_trace.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
@@ -32,7 +33,7 @@ namespace cesrm::harness {
 
 struct ExperimentConfig {
   Protocol protocol = Protocol::kCesrm;
-  cesrm::CesrmConfig cesrm;  ///< cesrm.srm also configures plain SRM runs
+  cesrm::CesrmConfig cesrm;  ///< cesrm.srm also configures SRM and LMS runs
   net::NetworkConfig network;
   std::uint64_t seed = 1;
   /// Session-only warm-up before the first data packet (§4.3: receivers
@@ -53,7 +54,9 @@ struct ExperimentConfig {
   /// fault subsystem). A non-empty plan also arms the InvariantOracle:
   /// liveness/safety violations throw util::CheckError, prefixed with a
   /// reproduction line naming trace, protocol, seed, packets, plan,
-  /// durable mode, cache policy, and lossy-recovery flag.
+  /// durable mode, cache policy, and lossy-recovery flag. LMS runs take
+  /// no plan: the oracle's stall check reads SRM request timers, which
+  /// LmsAgent disarms.
   fault::FaultPlan faults;
   /// Extra time budget after the nominal horizon for faulted runs; the
   /// plan's own horizon_slack() is always added on top of this.
@@ -68,18 +71,6 @@ struct ExperimentConfig {
   /// compile down to a null-pointer check and the run's behaviour and
   /// output are identical to a build without the obs subsystem).
   obs::ObsConfig observe;
-};
-
-/// Per-member outcome. Members are ordered source first, then receivers
-/// in tree order — matching the figures' "receiver 0 is the source".
-struct MemberResult {
-  net::NodeId node = net::kInvalidNode;
-  bool is_source = false;
-  /// Crashed (and not recovered) when the run ended.
-  bool failed = false;
-  srm::HostStats stats;
-  /// True RTT to the source in seconds (normalization unit of Figures 1-2).
-  double rtt_to_source = 0.0;
 };
 
 struct ExperimentResult {
@@ -100,9 +91,6 @@ struct ExperimentResult {
   /// latency/wait histograms and heavy-hitter links folded during the run
   /// in O(buckets) space, independent of event count. Null otherwise.
   std::shared_ptr<const obs::StreamingSketch> sketch;
-  /// Wall seconds spent per completed sim-second (only when
-  /// config.observe.profile). Wall-clock — never exported to artifacts.
-  std::vector<double> wall_profile;
 
   const MemberResult& source() const { return members.front(); }
   /// Receivers only — a zero-copy view over members[1..] (members are

@@ -2,11 +2,13 @@
 
 #include <chrono>
 #include <exception>
+#include <iostream>
 #include <sstream>
 #include <thread>
 
 #include "infer/link_estimator.hpp"
 #include "util/check.hpp"
+#include "util/logging.hpp"
 
 namespace cesrm::harness {
 
@@ -114,6 +116,46 @@ std::size_t TraceCache::size() const {
   return entries_.size();
 }
 
+// ------------------------------------------------------------ flags --------
+
+bool read_run_flags(const util::CliFlags& flags, ExperimentConfig* config) {
+  const auto cache_policy =
+      cesrm::try_parse_cache_policy(flags.get_string("cache-policy"));
+  if (!cache_policy) {
+    std::cerr << "bad --cache-policy: '" << flags.get_string("cache-policy")
+              << "' (valid: " << cesrm::cache_policy_names() << ")\n";
+    return false;
+  }
+  config->cesrm.cache.policy = *cache_policy;
+  const auto durable_mode =
+      durable::try_parse_durable_mode(flags.get_string("durable"));
+  if (!durable_mode) {
+    std::cerr << "bad --durable: '" << flags.get_string("durable")
+              << "' (valid: " << durable::durable_mode_names() << ")\n";
+    return false;
+  }
+  config->durable.mode = *durable_mode;
+  const std::string log_level = flags.get_string("log-level");
+  const auto level = util::try_parse_log_level(log_level);
+  if (!level) {
+    std::cerr << "bad --log-level: '" << log_level
+              << "' (valid: " << util::log_level_spellings() << ")\n";
+    return false;
+  }
+  util::set_log_threshold(*level);
+  const std::string trace_out = flags.get_string("trace-out");
+  if (!trace_out.empty() && !trace_out.ends_with(".json") &&
+      !trace_out.ends_with(".jsonl")) {
+    std::cerr << "bad --trace-out: '" << trace_out
+              << "' (want a .json path for Chrome trace_event format or "
+                 ".jsonl for one event per line)\n";
+    return false;
+  }
+  config->observe.trace = !trace_out.empty();
+  config->observe.metrics = !flags.get_string("metrics-out").empty();
+  return true;
+}
+
 // ------------------------------------------------------------ seeds --------
 
 std::uint64_t derive_job_seed(std::uint64_t base_seed,
@@ -128,7 +170,8 @@ std::uint64_t derive_job_seed(std::uint64_t base_seed,
   for (unsigned char c : trace_name) mix_byte(c);
   for (int i = 0; i < 8; ++i)
     mix_byte(static_cast<unsigned char>(base_seed >> (8 * i)));
-  mix_byte(protocol == Protocol::kSrm ? 0x53 : 0x43);
+  // The protocol's initial: 'S' (0x53), 'C' (0x43) or 'L'.
+  mix_byte(static_cast<unsigned char>(protocol_name(protocol)[0]));
   return util::splitmix64(h);
 }
 

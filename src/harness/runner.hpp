@@ -15,6 +15,9 @@
 // timer-jitter streams over the same trace). Sweeps that instead want
 // decorrelated runs per (trace, protocol) set decorrelate_seeds, which
 // applies derive_job_seed() to every job.
+//
+// Both front ends (the benches and cesrm_cli) drive this runner, and both
+// read their shared run flags through read_run_flags() below.
 #pragma once
 
 #include <atomic>
@@ -31,8 +34,17 @@
 #include "infer/link_trace.hpp"
 #include "trace/catalog.hpp"
 #include "trace/trace_generator.hpp"
+#include "util/cli.hpp"
 
 namespace cesrm::harness {
+
+/// Reads the run flags the benches and cesrm_cli share into `config`:
+/// --cache-policy, --durable, --log-level (applied process-wide at once),
+/// --trace-out (a .json or .jsonl path; sets observe.trace) and
+/// --metrics-out (sets observe.metrics). Each front end registers the
+/// flags itself. Returns false, after a one-line stderr message, on a bad
+/// value.
+bool read_run_flags(const util::CliFlags& flags, ExperimentConfig* config);
 
 /// Runs fn(0) … fn(n-1) on up to `jobs` worker threads (0 = hardware
 /// concurrency). Blocks until all calls return; the first exception thrown

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 
+#include "harness/group.hpp"
 #include "net/network.hpp"
 #include "net/packet.hpp"
 #include "net/topology_builder.hpp"
@@ -147,6 +147,9 @@ net::MulticastTree build_scale_tree(std::uint64_t blocks, int depth,
 }  // namespace
 
 ScaleResult run_scale(const ScaleConfig& config) {
+  CESRM_CHECK_MSG(config.protocol != Protocol::kLms,
+                  "scale runs support srm and cesrm only: lms needs router "
+                  "replier state that receiver blocks do not model");
   CESRM_CHECK_MSG(config.receivers >= 1, "scale run needs >= 1 receiver");
   CESRM_CHECK_MSG(config.block_members >= 1, "block size must be >= 1");
   CESRM_CHECK_MSG(config.packets >= 1, "scale run needs >= 1 data packet");
@@ -204,45 +207,38 @@ ScaleResult run_scale(const ScaleConfig& config) {
   const sim::SimTime horizon = data_end + config.drain;
 
   // --- pre-aggregated session traffic: one packet per block per period --
-  // Each block's chain lives on its own shard's simulator and bumps only
-  // its own round counter, so sharded runs never share mutable state.
-  std::vector<std::uint64_t> rounds(blocks, 0);
-  std::vector<std::function<void()>> session_fns(blocks);
+  // Each block's rounds run on its own shard's simulator and count only
+  // themselves, so sharded runs never share mutable state. Rounds go on
+  // while the next one starts no later than the end of the data.
+  std::vector<std::unique_ptr<PeriodicSource>> sessions;
+  sessions.reserve(blocks);
   for (std::uint64_t b = 0; b < blocks; ++b) {
     const net::NodeId leaf = block_agents[b]->node();
-    sim::Simulator& bsim = sim_of(leaf);
-    session_fns[b] = [&network, &bsim, &rounds, &session_fns, b, leaf, root,
-                      data_end, period = config.session_period] {
-      ++rounds[b];
-      net::Packet p = net::make_session_packet(leaf, root, nullptr);
-      p.dest = root;
-      network.unicast(leaf, p);
-      if (bsim.now() + period <= data_end)
-        bsim.schedule_in(period, [&session_fns, b] { session_fns[b](); });
-    };
     // Stagger offsets deterministically across the period.
-    const sim::SimTime offset = sim::SimTime::nanos(static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(config.session_period.ns()) * b / blocks));
-    bsim.schedule_at(kWarmup + offset, [&session_fns, b] { session_fns[b](); });
+    const sim::SimTime first =
+        kWarmup + sim::SimTime::nanos(static_cast<std::int64_t>(
+                      static_cast<std::uint64_t>(config.session_period.ns()) *
+                      b / blocks));
+    const net::SeqNo rounds =
+        1 + std::max<std::int64_t>(
+                0, (data_end - first).ns() / config.session_period.ns());
+    sessions.push_back(std::make_unique<PeriodicSource>(
+        sim_of(leaf), config.session_period, rounds,
+        [&network, leaf, root](net::SeqNo) {
+          net::Packet p = net::make_session_packet(leaf, root, nullptr);
+          p.dest = root;
+          network.unicast(leaf, p);
+        }));
+    sessions.back()->start(first);
   }
 
   // --- the transmission -------------------------------------------------
-  // A plain struct on this frame: a std::function holding a shared_ptr
-  // to itself would be a reference cycle and leak. A send still pending
-  // at the horizon never fires, so the frame outlives every use.
-  struct DataSender {
-    net::Network& network;
-    sim::Simulator& sim;
-    net::NodeId root;
-    net::SeqNo packets;
-    sim::SimTime period;
-    void send(net::SeqNo seq) {
-      network.multicast(root, net::make_data_packet(root, seq));
-      if (seq + 1 < packets)
-        sim.schedule_in(period, [this, seq] { send(seq + 1); });
-    }
-  } sender{network, root_sim, root, config.packets, config.period};
-  root_sim.schedule_at(kWarmup, [&sender] { sender.send(0); });
+  PeriodicSource data_source(root_sim, config.period, config.packets,
+                             [&network, root](net::SeqNo seq) {
+                               network.multicast(
+                                   root, net::make_data_packet(root, seq));
+                             });
+  data_source.start(kWarmup);
 
   const auto t0 = std::chrono::steady_clock::now();
   if (engine)
@@ -282,9 +278,10 @@ ScaleResult run_scale(const ScaleConfig& config) {
     r.requests_sent += blk.requests_sent();
     latency.merge(blk.recovery_latency());
     leaf_summary[static_cast<std::size_t>(blk.node())] = blk.summary();
-    r.session_rounds += rounds[b];
+    const auto rounds = static_cast<std::uint64_t>(sessions[b]->sent());
+    r.session_rounds += rounds;
     r.flat_session_crossings +=
-        rounds[b] * leaf_summary[static_cast<std::size_t>(blk.node())].members *
+        rounds * leaf_summary[static_cast<std::size_t>(blk.node())].members *
         static_cast<std::uint64_t>(tree.link_count());
   }
   r.recovery_p50_ns = latency.quantile(0.5);

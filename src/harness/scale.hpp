@@ -31,8 +31,8 @@ namespace cesrm::harness {
 
 /// Deterministic shard map for a multicast tree: root on shard 0, each
 /// root-child subtree wholly on one shard by greedy longest-first
-/// bin-packing. Shared by the sharded experiment path and the scale
-/// driver; any map is correct, this one keeps floods mostly intra-shard.
+/// bin-packing. Used by run_scale's sharded engine; any map is
+/// correct, this one keeps floods mostly intra-shard.
 std::vector<int> partition_tree(const net::MulticastTree& tree, int shards);
 
 struct ScaleConfig {

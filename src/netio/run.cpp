@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -46,6 +45,9 @@ void check_rate(double rate, const char* flag) {
 }  // namespace
 
 NetioRunResult run_netio(const NetioRunConfig& config) {
+  CESRM_CHECK_MSG(config.protocol != Protocol::kLms,
+                  "netio runs support srm and cesrm only: lms needs router "
+                  "replier state that no socket backend provides");
   CESRM_CHECK_MSG(config.packets > 0,
                   "netio run needs at least 1 data packet (valid: "
                   "--packets >= 1)");
@@ -73,17 +75,12 @@ NetioRunResult run_netio(const NetioRunConfig& config) {
   plan.mcast_port = config.mcast_port;
   plan.unicast.assign(tree.size(), Endpoint{});
 
-  std::vector<net::NodeId> member_nodes;
-  member_nodes.push_back(source);
-  for (net::NodeId r : tree.receivers()) member_nodes.push_back(r);
-
   // Phase 1 (main thread): bind every socket, then publish the actual
   // ephemeral unicast ports into the shared plan. Setup failures (port in
   // use, join refused) throw here, before any thread exists.
   const std::uint64_t epoch = MonotonicClock::raw_ns();
   std::vector<std::unique_ptr<Member>> members;
-  members.reserve(member_nodes.size());
-  for (net::NodeId node : member_nodes)
+  for (net::NodeId node : harness::group_members(tree))
     members.push_back(
         std::make_unique<Member>(node, epoch, tree, plan, shim));
   for (const auto& m : members)
@@ -93,53 +90,27 @@ NetioRunResult run_netio(const NetioRunConfig& config) {
   // Phase 2 (main thread): agents + initial schedule. Everything is armed
   // before the reactors run, so no agent is ever touched off-thread.
   for (auto& m : members) {
-    util::Rng agent_rng = rng.fork(static_cast<std::uint64_t>(m->node) + 1);
-    if (config.protocol == Protocol::kCesrm) {
-      m->agent = std::make_unique<::cesrm::cesrm::CesrmAgent>(
-          m->reactor.sim(), m->transport, m->node, source, config.cesrm,
-          agent_rng);
-    } else {
-      m->agent = std::make_unique<srm::SrmAgent>(
-          m->reactor.sim(), m->transport, m->node, source, config.cesrm.srm,
-          agent_rng);
-    }
+    m->agent = harness::make_agent(config.protocol, config.cesrm, nullptr,
+                                   m->reactor.sim(), m->transport, m->node,
+                                   source, rng);
     if (config.observe_trace) {
       obs::ObsConfig obs_cfg;
       obs_cfg.trace = true;
       m->recorder = std::make_unique<obs::TraceRecorder>(obs_cfg);
       m->reactor.sim().set_recorder(m->recorder.get());
     }
-    const std::int64_t period_ms =
-        std::max<std::int64_t>(1, config.cesrm.srm.session_period.ns() /
-                                      1000000);
     m->agent->start_session(
-        sim::SimTime::millis(rng.uniform_int(0, period_ms - 1)));
+        harness::session_offset(rng, config.cesrm.srm.session_period));
   }
 
   // The Figure-4 workload: chained fixed-period transmission from the
-  // root, armed on the source reactor. The closure holds itself via a
-  // weak_ptr (the strong one lives in this frame past the join below).
-  auto sent = std::make_shared<net::SeqNo>(0);
-  auto send_next = std::make_shared<std::function<void(net::SeqNo)>>();
-  {
-    srm::SrmAgent* src_agent = members.front()->agent.get();
-    sim::Simulator* src_sim = &members.front()->reactor.sim();
-    const sim::SimTime period = config.period;
-    const net::SeqNo total = config.packets;
-    std::weak_ptr<std::function<void(net::SeqNo)>> weak = send_next;
-    *send_next = [src_agent, src_sim, period, total, sent,
-                  weak](net::SeqNo seq) {
-      src_agent->send_data(seq);
-      ++*sent;
-      if (seq + 1 < total)
-        src_sim->schedule_in(period, [weak, seq] {
-          if (const auto fn = weak.lock()) (*fn)(seq + 1);
-        });
-    };
-    src_sim->schedule_at(config.warmup, [weak] {
-      if (const auto fn = weak.lock()) (*fn)(0);
-    });
-  }
+  // root, armed on the source reactor; it runs on the source's thread and
+  // this frame outlives the join below.
+  srm::SrmAgent* src_agent = members.front()->agent.get();
+  harness::PeriodicSource data_source(
+      members.front()->reactor.sim(), config.period, config.packets,
+      [src_agent](net::SeqNo seq) { src_agent->send_data(seq); });
+  data_source.start(config.warmup);
 
   // Phase 3: run. One thread per member until the shared wall horizon; a
   // throw anywhere stops every reactor and is rethrown after the join.
@@ -172,26 +143,18 @@ NetioRunResult run_netio(const NetioRunConfig& config) {
   if (config.check_invariants) {
     fault::InvariantOracle oracle(members.front()->reactor.sim(), tree);
     for (const auto& m : members) oracle.add_member(m->node, m->agent.get());
-    oracle.finish(*sent, source);
+    oracle.finish(data_source.sent(), source);
   }
 
   NetioRunResult out;
   harness::ExperimentResult& result = out.experiment;
   result.trace_name = "netio-loopback";
   result.protocol = config.protocol;
-  result.packets_sent = *sent;
+  result.packets_sent = data_source.sent();
   std::vector<obs::TraceEvent> merged_events;
   for (const auto& m : members) {
-    m->agent->stop_session();
-    m->agent->finalize_stats();
-    harness::MemberResult member;
-    member.node = m->node;
-    member.is_source = m->node == source;
-    member.failed = m->agent->failed();
-    member.stats = m->agent->stats();
-    member.rtt_to_source =
-        2.0 * m->transport.path_delay(m->node, source).to_seconds();
-    result.members.push_back(std::move(member));
+    result.members.push_back(
+        harness::collect_member(*m->agent, m->transport, source));
     result.events_executed += m->reactor.sim().events_executed();
     result.sim_end = std::max(result.sim_end, m->reactor.sim().now());
     result.crossings += m->transport.crossings();

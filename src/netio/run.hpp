@@ -9,7 +9,10 @@
 // for tail recoveries — and the outcome is the same
 // harness::ExperimentResult the simulated pipeline produces, so every
 // existing report (figure tables, JSON, JSONL/Chrome trace export) works
-// on real-socket runs unchanged.
+// on real-socket runs unchanged. Members, agents, session offsets, the
+// source and the collection come from the shared steps of
+// harness/group.hpp. LMS is refused: it needs router replier state that
+// no socket backend provides.
 //
 // Determinism contract, weaker than the simulator's by nature: DATA-loss
 // verdicts are a pure function of (shim seed, packet identity), so *which*

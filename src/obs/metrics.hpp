@@ -7,8 +7,7 @@
 // bucket-wise over an identical grid — so a sweep's merged snapshot (and
 // its JSON serialization) is byte-identical for any --jobs value as long
 // as the merge happens in job order and no wall-clock quantity is ever
-// registered. Wall-time profiles live elsewhere (ExperimentResult) for
-// exactly that reason.
+// registered.
 #pragma once
 
 #include <cstdint>

@@ -32,12 +32,10 @@ namespace cesrm::obs {
 struct ObsConfig {
   bool trace = false;    ///< capture the full TraceEvent stream
   bool metrics = false;  ///< populate a MetricsSnapshot in the result
-  bool profile = false;  ///< sim wall-time-per-sim-second profile (not
-                         ///< exported: wall times are nondeterministic)
   bool stream = false;   ///< fold events into a constant-memory
                          ///< StreamingSketch instead of (or alongside)
                          ///< the full capture
-  bool enabled() const { return trace || metrics || profile || stream; }
+  bool enabled() const { return trace || metrics || stream; }
 };
 
 class TraceRecorder {

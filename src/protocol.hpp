@@ -2,7 +2,9 @@
 //
 // Every layer that picks a loss-recovery protocol — the application-facing
 // api::SessionConfig, the trace-driven harness::ExperimentConfig, the
-// bench sweeps and the CLI — selects from this single enum. (It used to be
+// bench sweeps and the CLI — selects from this single enum, which also
+// covers the LMS baseline of §3.3/§5 (run by the simulated experiment
+// pipeline only: it needs router replier state). (It used to be
 // duplicated as api::Transport and harness::Protocol; the ns-3/ccns3Sim
 // experience is that a reusable simulator reproduction needs exactly one
 // such switch, shared by the session API and the experiment harness.)
@@ -16,31 +18,35 @@
 namespace cesrm {
 
 /// Which protocol recovers losses for a member / an experiment.
-enum class Protocol { kSrm, kCesrm };
+enum class Protocol { kSrm, kCesrm, kLms };
 
 /// Human-readable name, as used in tables, reports, and JSON output.
 constexpr const char* protocol_name(Protocol p) {
-  return p == Protocol::kSrm ? "SRM" : "CESRM";
+  constexpr const char* kNames[] = {"SRM", "CESRM", "LMS"};
+  return kNames[static_cast<int>(p)];
 }
 
 namespace detail {
-inline constexpr util::EnumNames<Protocol, 2> kProtocolNames{
-    "protocol", {{{Protocol::kSrm, "srm"}, {Protocol::kCesrm, "cesrm"}}}};
+inline constexpr util::EnumNames<Protocol, 3> kProtocolNames{
+    "protocol",
+    {{{Protocol::kSrm, "srm"},
+      {Protocol::kCesrm, "cesrm"},
+      {Protocol::kLms, "lms"}}}};
 }  // namespace detail
 
-/// The accepted CLI spellings ("srm", "cesrm"), comma-joined.
+/// The accepted CLI spellings ("srm", "cesrm", "lms"), comma-joined.
 inline const char* protocol_names() {
   static const std::string joined = detail::kProtocolNames.joined_names();
   return joined.c_str();
 }
 
-/// Parses "srm" / "cesrm"; nullopt otherwise.
+/// Parses "srm" / "cesrm" / "lms"; nullopt otherwise.
 inline std::optional<Protocol> try_parse_protocol(const std::string& name) {
   return detail::kProtocolNames.try_parse(name);
 }
 
-/// Parses "srm" / "cesrm"; throws util::CheckError listing the valid
-/// spellings otherwise.
+/// Parses "srm" / "cesrm" / "lms"; throws util::CheckError listing the
+/// valid spellings otherwise.
 inline Protocol parse_protocol(const std::string& name) {
   return detail::kProtocolNames.parse(name);
 }

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -127,16 +126,6 @@ class Simulator {
   void set_recorder(obs::TraceRecorder* rec) { recorder_ = rec; }
   obs::TraceRecorder* recorder() const { return recorder_; }
 
-  /// When enabled, step() samples a wall clock at every whole-sim-second
-  /// boundary; wall_per_sim_second()[i] is the wall time (seconds) spent
-  /// executing sim-second i. Off by default — the sample sits on the hot
-  /// path. Wall times are nondeterministic; exporters must keep them out
-  /// of determinism-checked artifacts.
-  void enable_profiling(bool on);
-  const std::vector<double>& wall_per_sim_second() const {
-    return wall_per_sim_second_;
-  }
-
  private:
   void check_not_past(SimTime when) const {
     CESRM_CHECK_MSG(when >= now_, "scheduling into the past: when="
@@ -148,21 +137,14 @@ class Simulator {
     CESRM_CHECK(when >= now_);
     now_ = when;
     ++executed_;
-    if (profile_) profile_tick();
     cb();
   }
-
-  void profile_tick();
 
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
   obs::TraceRecorder* recorder_ = nullptr;
-  bool profile_ = false;
-  std::int64_t profile_second_ = 0;
-  double profile_last_wall_ = 0.0;
-  std::vector<double> wall_per_sim_second_;
 };
 
 }  // namespace cesrm::sim

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "api/session.hpp"
@@ -32,6 +33,20 @@ TEST(MulticastGroup, JoinAndLookup) {
   EXPECT_THROW(group.at(4), util::CheckError);
   EXPECT_THROW(group.join(3), util::CheckError);  // double join
   EXPECT_THROW(group.join(1), util::CheckError);  // router position
+}
+
+TEST(MulticastGroup, JoinRejectsLms) {
+  // Sessions have no router replier directory for LMS members to share.
+  MulticastGroup group(small_tree());
+  SessionConfig config;
+  config.protocol = Protocol::kLms;
+  try {
+    group.join(3, config);
+    FAIL() << "lms should throw";
+  } catch (const util::CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("srm and cesrm only"), std::string::npos) << msg;
+  }
 }
 
 TEST(MulticastSession, LosslessDeliveryToAllOtherMembers) {

@@ -121,6 +121,8 @@ TEST(CachePolicyNames, OnlyRecencyShardedAndOracleRemain) {
 TEST(CachePolicyNames, ProtocolTableUsesSameConventions) {
   EXPECT_EQ(parse_protocol("srm"), Protocol::kSrm);
   EXPECT_EQ(parse_protocol("cesrm"), Protocol::kCesrm);
+  EXPECT_EQ(try_parse_protocol("lms"), Protocol::kLms);
+  EXPECT_STREQ(protocol_names(), "srm, cesrm, lms");
   EXPECT_FALSE(try_parse_protocol("tcp").has_value());
   try {
     parse_protocol("tcp");

@@ -299,6 +299,7 @@ TEST(Reports, ReceiverStatsSplitExpedited) {
 TEST(Reports, ProtocolNames) {
   EXPECT_STREQ(protocol_name(Protocol::kSrm), "SRM");
   EXPECT_STREQ(protocol_name(Protocol::kCesrm), "CESRM");
+  EXPECT_STREQ(protocol_name(Protocol::kLms), "LMS");
 }
 
 }  // namespace

@@ -526,6 +526,19 @@ TEST(NetioRun, ValidatesConfigWithFriendlyErrors) {
   cfg.shim.data_loss = 0.0;
   cfg.tree_text = "0";
   EXPECT_THROW(run_netio(cfg), util::CheckError);
+  // LMS needs router replier state no socket backend provides: refused
+  // before any socket is opened.
+  cfg.tree_text.clear();
+  cfg.protocol = Protocol::kLms;
+  try {
+    run_netio(cfg);
+    FAIL() << "lms should throw";
+  } catch (const util::CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("srm and cesrm only"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("lms needs router replier state"), std::string::npos)
+        << msg;
+  }
 }
 
 }  // namespace

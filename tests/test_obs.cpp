@@ -427,24 +427,6 @@ TEST(Stats, HistogramUnderOverflowTallied) {
   EXPECT_NE(json.find("\"buckets\":[1,0,1,0,2]"), std::string::npos);
 }
 
-// ----------------------------------------------------------- sim profiling --
-
-TEST(Profiling, WallPerSimSecondCoversTheRun) {
-  const auto& w = small_workload();
-  harness::ExperimentConfig cfg;
-  cfg.protocol = Protocol::kSrm;
-  cfg.seed = 11;
-  cfg.observe.profile = true;
-  const auto r = harness::run_experiment(*w.gen.loss, *w.links, cfg);
-  ASSERT_FALSE(r.wall_profile.empty());
-  EXPECT_LE(static_cast<double>(r.wall_profile.size()),
-            r.sim_end.to_seconds() + 1.0);
-  for (double s : r.wall_profile) EXPECT_GE(s, 0.0);
-  // Profiling alone captures neither events nor metrics.
-  EXPECT_EQ(r.events, nullptr);
-  EXPECT_TRUE(r.metrics.empty());
-}
-
 // -------------------------------------------------- causal phases (unit) ---
 
 TEST(Causal, ReactivePhasesAttributedExactly) {

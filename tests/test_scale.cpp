@@ -14,6 +14,7 @@
 #include "sim/simulator.hpp"
 #include "srm/receiver_block.hpp"
 #include "srm/session_aggregate.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace cesrm {
@@ -243,6 +244,20 @@ TEST(ScaleSharding, ResultsIdenticalForEveryShardCount) {
       EXPECT_EQ(want, scale_fingerprint(harness::run_scale(cfg)))
           << "protocol=" << protocol_name(protocol) << " shards=" << shards;
     }
+  }
+}
+
+TEST(ScaleRun, RejectsLmsWithAFriendlyMessage) {
+  // Receiver blocks model SRM and CESRM recovery only.
+  harness::ScaleConfig cfg;
+  cfg.protocol = Protocol::kLms;
+  cfg.receivers = 100;
+  try {
+    harness::run_scale(cfg);
+    FAIL() << "lms should throw";
+  } catch (const util::CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("srm and cesrm only"), std::string::npos) << msg;
   }
 }
 

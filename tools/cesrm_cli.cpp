@@ -15,11 +15,12 @@
 //       observations; with ground truth present, report the estimation
 //       error and the link-combination confidence statistics of §4.2.
 //
-//   simulate  --in=FILE [--protocol=srm|cesrm] [--router-assist]
+//   simulate  --in=FILE [--protocol=srm|cesrm|lms] [--router-assist]
 //             [--policy=most-recent|most-frequent] [--adaptive]
 //             [--cache-policy=recency|sharded|oracle]
-//       Replay the trace under one protocol and print the recovery
-//       summary.
+//       Replay the trace under one protocol (LMS: the §3.3/§5 baseline)
+//       and print the recovery summary; --json, --trace-out,
+//       --metrics-out and --jobs apply to every protocol.
 //
 //   compare   --in=FILE
 //       Replay under SRM and CESRM and print the paper's headline
@@ -66,9 +67,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
-
-#include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 
@@ -79,7 +80,6 @@
 #include "infer/link_estimator.hpp"
 #include "infer/link_trace.hpp"
 #include "infer/minc_estimator.hpp"
-#include "lms/lms_agent.hpp"
 #include "netio/run.hpp"
 #include "netio/socket.hpp"
 #include "obs/causal.hpp"
@@ -90,7 +90,6 @@
 #include "trace/trace_generator.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
-#include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "wire/codec.hpp"
@@ -214,61 +213,50 @@ int cmd_estimate(const util::CliFlags& flags) {
   return 0;
 }
 
-// Builds the simulate/compare experiment config; nullopt (after a one-line
-// friendly stderr message, not a CHECK crash) on bad flag values.
+// Builds the simulate/compare experiment config on top of `base` (the
+// shared run flags main already read); nullopt (after a one-line friendly
+// stderr message, not a CHECK crash) on bad flag values.
 std::optional<harness::ExperimentConfig> config_from_flags(
-    const util::CliFlags& flags) {
-  harness::ExperimentConfig cfg;
+    const util::CliFlags& flags, const harness::ExperimentConfig& base) {
+  harness::ExperimentConfig cfg = base;
   cfg.cesrm.router_assist = flags.get_bool("router-assist");
   cfg.cesrm.policy = ::cesrm::cesrm::parse_policy(flags.get_string("policy"));
-  const auto cache_policy =
-      ::cesrm::cesrm::try_parse_cache_policy(flags.get_string("cache-policy"));
-  if (!cache_policy) {
-    std::cerr << "bad --cache-policy: '" << flags.get_string("cache-policy")
-              << "' (valid: " << ::cesrm::cesrm::cache_policy_names() << ")\n";
-    return std::nullopt;
-  }
-  cfg.cesrm.cache.policy = *cache_policy;
   // simulate/compare have no loss ground truth wired into the cache, so
   // the side-info policies would silently degrade to recency — refuse
   // them up front with a message instead.
-  if (::cesrm::cesrm::cache_policy_needs_side_info(*cache_policy)) {
+  const auto cache_policy = cfg.cesrm.cache.policy;
+  if (::cesrm::cesrm::cache_policy_needs_side_info(cache_policy)) {
     std::cerr << "--cache-policy "
-              << ::cesrm::cesrm::cache_policy_name(*cache_policy)
+              << ::cesrm::cesrm::cache_policy_name(cache_policy)
               << " needs cache side info, which this command does not "
                  "provide (policies needing side info: "
               << ::cesrm::cesrm::cache_policies_needing_side_info()
               << "); pick another policy\n";
     return std::nullopt;
   }
-  const auto durable_mode =
-      durable::try_parse_durable_mode(flags.get_string("durable"));
-  if (!durable_mode) {
-    std::cerr << "bad --durable: '" << flags.get_string("durable")
-              << "' (valid: " << durable::durable_mode_names() << ")\n";
-    return std::nullopt;
-  }
-  cfg.durable.mode = *durable_mode;
   cfg.cesrm.srm.adaptive_timers = flags.get_bool("adaptive");
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  const std::string trace_out = flags.get_string("trace-out");
-  if (!trace_out.empty() && !trace_out.ends_with(".json") &&
-      !trace_out.ends_with(".jsonl")) {
-    std::cerr << "bad --trace-out: '" << trace_out
-              << "' (want a .json path for Chrome trace_event format or "
-                 ".jsonl for one event per line)\n";
-    return std::nullopt;
-  }
-  cfg.observe.trace = !trace_out.empty();
-  cfg.observe.metrics = !flags.get_string("metrics-out").empty();
   return cfg;
 }
 
-// Writes simulate/compare observability artifacts when --trace-out /
-// --metrics-out name files: the event capture as Chrome trace_event JSON
-// (or JSONL when the path ends in .jsonl) and the merged metrics as JSON.
-void maybe_write_obs(const util::CliFlags& flags,
-                     const std::vector<harness::JobOutcome>& outcomes) {
+// Writes the simulate/compare/netio-run artifacts the flags name: the
+// outcomes to --json, the event capture to --trace-out (Chrome
+// trace_event JSON, or JSONL when the path ends in .jsonl) and the merged
+// metrics to --metrics-out.
+void write_artifacts(const util::CliFlags& flags,
+                     const std::vector<harness::JobOutcome>& outcomes,
+                     const std::string& trace_name) {
+  const std::string json_path = flags.get_string("json");
+  if (!json_path.empty()) {
+    harness::JsonResultSink sink;
+    for (const auto& o : outcomes)
+      sink.add(o.result, o.wall_seconds,
+               o.label.empty() ? trace_name : o.label);
+    if (sink.write_file(json_path))
+      std::cerr << "wrote " << json_path << "\n";
+    else
+      std::cerr << "error: could not write " << json_path << "\n";
+  }
   const std::string trace_path = flags.get_string("trace-out");
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
@@ -318,116 +306,45 @@ harness::ExperimentRunner runner_from_flags(const util::CliFlags& flags) {
   return harness::ExperimentRunner(ropts);
 }
 
-// Writes simulate/compare outcomes to --json=FILE when given.
-void maybe_write_json(const util::CliFlags& flags,
-                      const std::vector<harness::JobOutcome>& outcomes,
-                      const std::string& trace_name) {
-  const std::string path = flags.get_string("json");
-  if (path.empty()) return;
-  harness::JsonResultSink sink;
-  for (const auto& o : outcomes)
-    sink.add(o.result, o.wall_seconds, o.label.empty() ? trace_name : o.label);
-  if (sink.write_file(path))
-    std::cerr << "wrote " << path << "\n";
-  else
-    std::cerr << "error: could not write " << path << "\n";
+
+// Replays `file` under each of `protocols` — the replays share the trace
+// and its estimated link representation, and run concurrently with
+// --jobs >= 2 — and writes the --json/--trace-out/--metrics-out artifacts.
+std::vector<harness::JobOutcome> replay(
+    const util::CliFlags& flags, const harness::ExperimentConfig& cfg,
+    const trace::TraceFile& file, std::initializer_list<Protocol> protocols) {
+  const auto est = infer::estimate_links_yajnik(*file.loss);
+  const auto links = std::make_shared<infer::LinkTraceRepresentation>(
+      *file.loss, est.loss_rate);
+  std::vector<harness::ExperimentJob> jobs;
+  for (const Protocol protocol : protocols) {
+    harness::ExperimentJob& job = jobs.emplace_back();
+    job.loss = file.loss;
+    job.links = links;
+    job.protocol = protocol;
+    job.config = cfg;
+  }
+  const auto outcomes = runner_from_flags(flags).run(std::move(jobs));
+  write_artifacts(flags, outcomes, file.loss->name());
+  return outcomes;
 }
 
-int cmd_simulate(const util::CliFlags& flags) {
+int cmd_simulate(const util::CliFlags& flags,
+                 const harness::ExperimentConfig& base) {
   const auto file = trace::load_trace(flags.get_string("in"));
-  const auto est = infer::estimate_links_yajnik(*file.loss);
-  const auto links_ptr = std::make_shared<infer::LinkTraceRepresentation>(
-      *file.loss, est.loss_rate);
-  const infer::LinkTraceRepresentation& links = *links_ptr;
-
-  const auto maybe_cfg = config_from_flags(flags);
-  if (!maybe_cfg) return 1;
-  harness::ExperimentConfig cfg = *maybe_cfg;
+  const auto cfg = config_from_flags(flags, base);
+  if (!cfg) return 1;
   const std::string protocol = flags.get_string("protocol");
-  if (protocol == "lms") {
-    // LMS needs the shared router directory, so it is driven directly.
-    const auto& tree = file.loss->tree();
-    sim::Simulator sim;
-    net::Network network(sim, tree, cfg.network);
-    lms::LmsDirectory directory(sim, tree, sim::SimTime::seconds(10));
-    lms::LmsConfig lms_cfg;
-    lms_cfg.srm = cfg.cesrm.srm;
-    util::Rng rng(cfg.seed);
-    std::vector<std::unique_ptr<lms::LmsAgent>> agents;
-    std::vector<net::NodeId> member_nodes{tree.root()};
-    for (net::NodeId r : tree.receivers()) member_nodes.push_back(r);
-    for (net::NodeId nid : member_nodes)
-      agents.push_back(std::make_unique<lms::LmsAgent>(
-          sim, network, nid, tree.root(), lms_cfg, directory,
-          rng.fork(static_cast<std::uint64_t>(nid) + 1)));
-    network.set_drop_fn([&](const net::Packet& pkt, net::NodeId from,
-                            net::NodeId to) {
-      if (pkt.type != net::PacketType::kData) return false;
-      if (tree.parent(to) != from) return false;
-      const auto& drops = links.drop_links(pkt.seq);
-      return std::binary_search(drops.begin(), drops.end(), to);
-    });
-    for (auto& agent : agents)
-      agent->start_session(sim::SimTime::millis(rng.uniform_int(0, 999)));
-    const sim::SimTime warmup = sim::SimTime::seconds(5);
-    const net::SeqNo packets = file.loss->packet_count();
-    std::function<void(net::SeqNo)> send_next = [&](net::SeqNo seq) {
-      agents.front()->send_data(seq);
-      if (seq + 1 < packets)
-        sim.schedule_in(file.loss->period(),
-                        [&send_next, seq] { send_next(seq + 1); });
-    };
-    sim.schedule_at(warmup, [&send_next] { send_next(0); });
-    sim.run_until(warmup + file.loss->period() * packets +
-                  sim::SimTime::seconds(60));
-    util::OnlineStats latency;
-    std::uint64_t unrecovered = 0, lms_requests = 0, lms_replies = 0;
-    for (auto& agent : agents) {
-      agent->stop_session();
-      agent->finalize_stats();
-      lms_requests += agent->stats().exp_requests_sent;
-      lms_replies += agent->stats().exp_replies_sent;
-      if (agent->node() == tree.root()) continue;
-      const double rtt =
-          2.0 * network.path_delay(agent->node(), tree.root()).to_seconds();
-      for (const auto& r : agent->stats().recoveries) {
-        if (!r.recovered) {
-          ++unrecovered;
-          continue;
-        }
-        latency.add(r.latency_seconds() / rtt);
-      }
-    }
-    std::cout << "LMS on " << file.loss->name() << ":\n"
-              << "  mean normalized recovery time: "
-              << util::fmt_fixed(latency.mean(), 3) << " RTT\n"
-              << "  unrecovered " << util::fmt_count(unrecovered)
-              << ", directed requests " << util::fmt_count(lms_requests)
-              << ", subcast replies " << util::fmt_count(lms_replies)
-              << ", redesignations " << directory.redesignations() << "\n";
-    return 0;
-  }
-  Protocol proto;
-  if (const auto parsed = try_parse_protocol(protocol)) {
-    proto = *parsed;
-  } else {
+  const auto proto = try_parse_protocol(protocol);
+  if (!proto) {
     std::cerr << "simulate: unknown --protocol '" << protocol
-              << "' (valid: " << protocol_names() << ", lms)\n";
+              << "' (valid: " << protocol_names() << ")\n";
     return 1;
   }
 
-  harness::ExperimentJob job;
-  job.loss = file.loss;
-  job.links = links_ptr;
-  job.protocol = proto;
-  job.config = cfg;
-  auto runner = runner_from_flags(flags);
-  const auto outcomes = runner.run({std::move(job)});
+  const auto outcomes = replay(flags, *cfg, file, {*proto});
   const auto& result = outcomes.front().result;
-  maybe_write_json(flags, outcomes, file.loss->name());
-  maybe_write_obs(flags, outcomes);
-
-  std::cout << protocol_name(proto) << " on " << file.loss->name()
+  std::cout << protocol_name(*proto) << " on " << file.loss->name()
             << ":\n"
             << "  mean normalized recovery time: "
             << util::fmt_fixed(result.mean_normalized_recovery_time(), 3)
@@ -451,30 +368,15 @@ int cmd_simulate(const util::CliFlags& flags) {
   return 0;
 }
 
-int cmd_compare(const util::CliFlags& flags) {
+int cmd_compare(const util::CliFlags& flags,
+                const harness::ExperimentConfig& base) {
   const auto file = trace::load_trace(flags.get_string("in"));
-  const auto est = infer::estimate_links_yajnik(*file.loss);
-  const auto links = std::make_shared<infer::LinkTraceRepresentation>(
-      *file.loss, est.loss_rate);
-
-  // Both protocol replays share the loaded trace and its link
-  // representation; with --jobs >= 2 they run concurrently.
-  const auto maybe_cfg = config_from_flags(flags);
-  if (!maybe_cfg) return 1;
-  const harness::ExperimentConfig cfg = *maybe_cfg;
-  std::vector<harness::ExperimentJob> jobs(2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    jobs[i].loss = file.loss;
-    jobs[i].links = links;
-    jobs[i].protocol = i == 0 ? Protocol::kSrm : Protocol::kCesrm;
-    jobs[i].config = cfg;
-  }
-  auto runner = runner_from_flags(flags);
-  const auto outcomes = runner.run(std::move(jobs));
+  const auto cfg = config_from_flags(flags, base);
+  if (!cfg) return 1;
+  const auto outcomes =
+      replay(flags, *cfg, file, {Protocol::kSrm, Protocol::kCesrm});
   const auto& srm = outcomes[0].result;
   const auto& cesrm = outcomes[1].result;
-  maybe_write_json(flags, outcomes, file.loss->name());
-  maybe_write_obs(flags, outcomes);
 
   util::TextTable table("Per-receiver avg normalized recovery time (RTTs):");
   table.set_header({"receiver", "SRM", "CESRM", "CESRM/SRM"});
@@ -507,24 +409,25 @@ int cmd_compare(const util::CliFlags& flags) {
 // validation failures print a one-line hint and return 1; socket setup
 // failures (port in use, refused multicast join, non-Linux build) surface
 // through main's catch with the sockets' own friendly hints.
-int cmd_netio_run(const util::CliFlags& flags) {
+int cmd_netio_run(const util::CliFlags& flags,
+                  const harness::ExperimentConfig& base) {
   // Reuse the simulate/compare validation for the shared protocol flags
   // (cache-policy side-info refusal, --trace-out extension, seed).
-  const auto maybe_cfg = config_from_flags(flags);
+  const auto maybe_cfg = config_from_flags(flags, base);
   if (!maybe_cfg) return 1;
 
   netio::NetioRunConfig cfg;
   cfg.cesrm = maybe_cfg->cesrm;
   cfg.seed = maybe_cfg->seed;
   const std::string protocol = flags.get_string("protocol");
-  if (const auto parsed = try_parse_protocol(protocol)) {
-    cfg.protocol = *parsed;
-  } else {
+  const auto parsed = try_parse_protocol(protocol);
+  if (!parsed || *parsed == Protocol::kLms) {
     std::cerr << "netio-run: unknown --protocol '" << protocol
-              << "' (valid: " << protocol_names()
-              << "; lms needs router state no socket backend provides)\n";
+              << "' (valid: srm, cesrm; lms needs router state no socket "
+                 "backend provides)\n";
     return 1;
   }
+  cfg.protocol = *parsed;
 
   cfg.tree_text = flags.get_string("tree");
   cfg.shape.receivers = static_cast<int>(flags.get_int("receivers"));
@@ -587,8 +490,7 @@ int cmd_netio_run(const util::CliFlags& flags) {
   outcome.seed = cfg.seed;
   outcome.wall_seconds = out.wall_seconds;
   const std::vector<harness::JobOutcome> outcomes{std::move(outcome)};
-  maybe_write_json(flags, outcomes, result.trace_name);
-  maybe_write_obs(flags, outcomes);
+  write_artifacts(flags, outcomes, result.trace_name);
 
   std::uint64_t send_failures = 0, self_filtered = 0, received = 0;
   for (const auto& s : out.sockets) {
@@ -1031,13 +933,8 @@ int main(int argc, char** argv) {
                    "recoveries)");
   flags.add_int("top", 10, "how many slowest recoveries 'explain' prints");
   if (!flags.parse(argc, argv)) return 1;
-  const auto log_level = util::try_parse_log_level(flags.get_string("log-level"));
-  if (!log_level) {
-    std::cerr << "bad --log-level: '" << flags.get_string("log-level")
-              << "' (valid: " << util::log_level_spellings() << ")\n";
-    return 1;
-  }
-  util::set_log_threshold(*log_level);
+  harness::ExperimentConfig run_cfg;
+  if (!harness::read_run_flags(flags, &run_cfg)) return 1;
 
   if (flags.positional().size() != 1) {
     std::cerr << "usage: cesrm_cli <generate|inspect|estimate|simulate|"
@@ -1051,9 +948,9 @@ int main(int argc, char** argv) {
     if (cmd == "generate") return cmd_generate(flags);
     if (cmd == "inspect") return cmd_inspect(flags);
     if (cmd == "estimate") return cmd_estimate(flags);
-    if (cmd == "simulate") return cmd_simulate(flags);
-    if (cmd == "compare") return cmd_compare(flags);
-    if (cmd == "netio-run") return cmd_netio_run(flags);
+    if (cmd == "simulate") return cmd_simulate(flags, run_cfg);
+    if (cmd == "compare") return cmd_compare(flags, run_cfg);
+    if (cmd == "netio-run") return cmd_netio_run(flags, run_cfg);
     if (cmd == "explain") return cmd_explain(flags);
     if (cmd == "analyze") return cmd_analyze(flags);
     if (cmd == "wire-gen") return cmd_wire_gen(flags);
