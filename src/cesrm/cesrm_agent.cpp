@@ -34,7 +34,7 @@ void CesrmAgent::clear_volatile_recovery_state() {
   for (const auto& [source, cache] : caches_)
     retired_cache_stats_ += cache.stats();
   caches_.clear();
-  lost_ever_.clear();
+  for (auto& [source, s] : streams_) s.window.clear_lost_ever();
 }
 
 void CesrmAgent::restore_cache_tuple(net::NodeId source,
@@ -55,7 +55,7 @@ void CesrmAgent::restore_cache_tuple(net::NodeId source,
       tuple.replier >= nodes)
     return;
   if (tuple.replier == node()) return;  // we cannot serve our own repairs
-  lost_ever_[source].insert(tuple.seq);
+  stream(source).window.mark_lost_ever(tuple.seq);
   // Re-anchor the requestor to the restarting member. The durable value of
   // a cached tuple is ⟨replier, d̂rq⟩ — who can serve repairs, and how
   // close they are. The journaled requestor is whoever won the request
@@ -95,12 +95,12 @@ const RecoveryCache& CesrmAgent::cache(net::NodeId source) const {
 }
 
 bool CesrmAgent::lost_ever(net::NodeId source, net::SeqNo seq) const {
-  const auto it = lost_ever_.find(source);
-  return it != lost_ever_.end() && it->second.count(seq) != 0;
+  const StreamState* s = find_stream(source);
+  return s != nullptr && s->window.lost_ever(seq);
 }
 
 void CesrmAgent::on_loss_detected(WantState& want) {
-  lost_ever_[want.source].insert(want.seq);
+  stream(want.source).window.mark_lost_ever(want.seq);
 
   // Consult the lost packet's per-source cache: if the selected pair names
   // us as the expeditious requestor, arm the expedited request
@@ -124,9 +124,8 @@ void CesrmAgent::on_loss_detected(WantState& want) {
   want.exp_ann.turning_point = pair->turning_point;
   const net::NodeId source = want.source;
   const net::SeqNo seq = want.seq;
-  want.exp_timer = std::make_unique<sim::Timer>(
-      sim_, [this, source, seq] { exp_timer_fired(source, seq); });
-  want.exp_timer->arm(cesrm_config_.reorder_delay);
+  arm_event(want.exp_event, cesrm_config_.reorder_delay,
+            [this, source, seq] { exp_timer_fired(source, seq); });
 }
 
 void CesrmAgent::exp_timer_fired(net::NodeId source, net::SeqNo seq) {
@@ -134,11 +133,9 @@ void CesrmAgent::exp_timer_fired(net::NodeId source, net::SeqNo seq) {
     ++stats_.zombie_timer_fires;
     return;
   }
-  StreamState& s = stream(source);
-  const auto it = s.want.find(seq);
-  CESRM_CHECK_MSG(it != s.want.end(), "expedited timer for unknown loss");
-  WantState& want = *it->second;
-  CESRM_CHECK(!want.recovered);
+  const WantState* open = stream(source).window.want(seq);
+  CESRM_CHECK_MSG(open != nullptr, "expedited timer for unknown loss");
+  const WantState& want = *open;
   ++stats_.exp_requests_sent;
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kExpAttempt, node(), source, seq,
@@ -149,9 +146,8 @@ void CesrmAgent::exp_timer_fired(net::NodeId source, net::SeqNo seq) {
 }
 
 void CesrmAgent::on_packet_available(net::NodeId source, net::SeqNo seq) {
-  // Nothing to do: the WantState — and with it any armed expedited-request
-  // timer — was destroyed by mark_received(), which also counted the
-  // cancellation in HostStats::exp_requests_cancelled.
+  // Nothing to do: mark_received() closed the loss, cancelled any pending
+  // expedited request and counted it in HostStats::exp_requests_cancelled.
   (void)source;
   (void)seq;
 }
@@ -185,7 +181,7 @@ void CesrmAgent::on_exp_request(const net::Packet& pkt) {
     return;  // shared loss: expedited recovery fails
 
   ReplyState& rs = reply_state(pkt.source, pkt.seq);
-  if (rs.scheduled || sim_.now() < rs.abstinence_until)
+  if (rs.scheduled() || sim_.now() < rs.abstinence_until)
     return;  // a reply is already scheduled or pending (§3.2)
 
   if (note_already_served(pkt.source, pkt.seq, pkt.ann.requestor,

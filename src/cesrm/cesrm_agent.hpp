@@ -29,7 +29,6 @@
 #pragma once
 
 #include <map>
-#include <unordered_set>
 
 #include "cesrm/cache.hpp"
 #include "cesrm/policy.hpp"
@@ -97,6 +96,7 @@ class CesrmAgent : public srm::SrmAgent {
   RecoveryCache& mutable_cache(net::NodeId source);
   /// True when this host ever detected the loss of (`source`, `seq`) —
   /// §3.1: replies for packets we did not lose leave the cache untouched.
+  /// The mark is a bit in the stream's recovery window.
   bool lost_ever(net::NodeId source, net::SeqNo seq) const;
 
   CesrmConfig cesrm_config_;
@@ -104,7 +104,6 @@ class CesrmAgent : public srm::SrmAgent {
   /// requestor/replier caches, one for each source from which it receives
   /// packets".
   mutable std::map<net::NodeId, RecoveryCache> caches_;
-  std::map<net::NodeId, std::unordered_set<net::SeqNo>> lost_ever_;
   /// Counters of caches dropped by crash-clearing, so cache_stats() stays
   /// a whole-lifetime aggregate across restarts.
   CacheStats retired_cache_stats_;

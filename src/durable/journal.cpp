@@ -66,10 +66,12 @@ const char* scan_diagnosis_name(ScanDiagnosis d) {
   return "?";
 }
 
-void append_record(RecordKind kind, const net::Packet& payload,
+namespace {
+
+/// Frames the payload `encode(out)` appends as one record of `kind`.
+template <class Encode>
+void append_framed(RecordKind kind, Encode&& encode,
                    std::vector<std::uint8_t>* out) {
-  CESRM_CHECK_MSG(payload.type == payload_type(kind),
-                  "journal record payload type mismatch");
   const std::size_t start = out->size();
   put_u16(kJournalMagic, out);
   out->push_back(kJournalVersion);
@@ -77,7 +79,7 @@ void append_record(RecordKind kind, const net::Packet& payload,
   const std::size_t len_at = out->size();
   put_u32(0, out);  // payload length back-patched below
   const std::size_t payload_at = out->size();
-  wire::encode_packet(payload, out);
+  encode(out);
   const std::size_t payload_len = out->size() - payload_at;
   CESRM_CHECK_MSG(payload_len <= kMaxRecordPayload,
                   "journal record payload too large");
@@ -88,6 +90,33 @@ void append_record(RecordKind kind, const net::Packet& payload,
   const std::uint32_t crc = wire::crc32(
       std::span<const std::uint8_t>(out->data() + start, out->size() - start));
   put_u32(crc, out);
+}
+
+}  // namespace
+
+void append_record(RecordKind kind, const net::Packet& payload,
+                   std::vector<std::uint8_t>* out) {
+  CESRM_CHECK_MSG(payload.type == payload_type(kind),
+                  "journal record payload type mismatch");
+  append_framed(
+      kind,
+      [&payload](std::vector<std::uint8_t>* o) {
+        wire::encode_packet(payload, o);
+      },
+      out);
+}
+
+void append_horizon_record(net::NodeId node, net::NodeId source,
+                           net::SeqNo highest,
+                           std::vector<std::uint8_t>* out) {
+  const net::StreamAdvert advert{source, highest};
+  append_framed(
+      RecordKind::kHorizon,
+      [&](std::vector<std::uint8_t>* o) {
+        wire::encode_session(node, node, sim::SimTime::zero(), {&advert, 1},
+                             {}, o);
+      },
+      out);
 }
 
 ScanResult scan(std::span<const std::uint8_t> bytes) {

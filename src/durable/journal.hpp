@@ -113,6 +113,13 @@ inline constexpr std::uint32_t kMaxRecordPayload = 64 * 1024;
 void append_record(RecordKind kind, const net::Packet& payload,
                    std::vector<std::uint8_t>* out);
 
+/// Appends the horizon record "`node` knows `source`'s stream up to
+/// `highest`": the bytes of append_record(kHorizon, …) with a one-stream
+/// session frame from `node`, encoded without building that frame.
+void append_horizon_record(net::NodeId node, net::NodeId source,
+                           net::SeqNo highest,
+                           std::vector<std::uint8_t>* out);
+
 /// Walks `bytes` record by record, stopping at the first defect. Never
 /// throws, never reads out of bounds, never trusts a damaged record.
 ScanResult scan(std::span<const std::uint8_t> bytes);

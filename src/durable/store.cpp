@@ -47,9 +47,13 @@ AgentStore::AgentStore(net::NodeId node, const DurableConfig& config)
 void AgentStore::append(RecordKind kind, const net::Packet& payload) {
   const std::size_t before = pending_.size();
   append_record(kind, payload, &pending_);
+  count_appended(pending_.size() - before);
+}
+
+void AgentStore::count_appended(std::size_t bytes) {
   ++pending_records_;
   ++totals_.records_appended;
-  totals_.bytes_appended += pending_.size() - before;
+  totals_.bytes_appended += bytes;
   if (pending_records_ >= config_.flush_every) flush();
 }
 
@@ -60,10 +64,11 @@ void AgentStore::flush() {
 }
 
 void AgentStore::on_horizon(net::NodeId source, net::SeqNo highest) {
-  auto payload = std::make_shared<net::SessionPayload>();
-  payload->streams.push_back({source, highest});
-  append(RecordKind::kHorizon,
-         net::make_session_packet(node_, node_, std::move(payload)));
+  // The most frequent record by far: encoded straight into the journal,
+  // without the session payload a Packet would need.
+  const std::size_t before = pending_.size();
+  append_horizon_record(node_, source, highest, &pending_);
+  count_appended(pending_.size() - before);
 }
 
 void AgentStore::on_reply_served(net::NodeId source, net::SeqNo seq,

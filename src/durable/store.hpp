@@ -124,6 +124,8 @@ class AgentStore : public srm::DurableSink {
 
  private:
   void append(RecordKind kind, const net::Packet& payload);
+  /// Accounts one record of `bytes` just appended to pending_.
+  void count_appended(std::size_t bytes);
   void flush();
 
   const net::NodeId node_;

@@ -18,22 +18,14 @@ LmsAgent::LmsAgent(sim::Simulator& sim, net::Transport& network,
 void LmsAgent::on_loss_detected(WantState& want) {
   // LMS replaces SRM's suppression machinery entirely: disarm the SRM
   // request timer and start the directed exchange.
-  want.request_timer->cancel();
-  const net::NodeId source = want.source;
-  const net::SeqNo seq = want.seq;
-  want.exp_timer = std::make_unique<sim::Timer>(
-      sim_, [this, source, seq] { retry_timer_fired(source, seq); });
-  escalation_[{source, seq}] = 0;
-  send_lms_request(source, seq);
+  sim_.cancel(want.request_event);
+  send_lms_request(want);
 }
 
-void LmsAgent::send_lms_request(net::NodeId source, net::SeqNo seq) {
-  StreamState& s = stream(source);
-  const auto it = s.want.find(seq);
-  CESRM_CHECK(it != s.want.end());
-  WantState& want = *it->second;
-
-  const int level = escalation_[{source, seq}];
+void LmsAgent::send_lms_request(WantState& want) {
+  const net::NodeId source = want.source;
+  const net::SeqNo seq = want.seq;
+  const int level = want.escalation;
   const auto route = directory_.route(node(), level);
   if (route) {
     net::RecoveryAnnotation ann;
@@ -57,18 +49,16 @@ void LmsAgent::send_lms_request(net::NodeId source, net::SeqNo seq) {
       lms_config_.retry_floor,
       sim::SimTime::from_seconds(lms_config_.retry_rtt_multiple * rtt));
   timeout = timeout * std::ldexp(1.0, std::min(level, 8));
-  want.exp_timer->arm(timeout);
-}
-
-void LmsAgent::on_packet_available(net::NodeId source, net::SeqNo seq) {
-  escalation_.erase({source, seq});
+  arm_event(want.exp_event, timeout,
+            [this, source, seq] { retry_timer_fired(source, seq); });
 }
 
 void LmsAgent::retry_timer_fired(net::NodeId source, net::SeqNo seq) {
   if (failed()) return;
-  auto& level = escalation_[{source, seq}];
-  level = std::min(level + 1, 32);
-  send_lms_request(source, seq);
+  WantState* want = stream(source).window.want(seq);
+  CESRM_CHECK_MSG(want != nullptr, "LMS retry for unknown loss");
+  want->escalation = std::min(want->escalation + 1, 32);
+  send_lms_request(*want);
 }
 
 void LmsAgent::on_exp_request(const net::Packet& pkt) {

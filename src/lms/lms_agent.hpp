@@ -25,8 +25,6 @@
 //     delivery plumbing is shared with router-assisted CESRM).
 #pragma once
 
-#include <map>
-
 #include "lms/directory.hpp"
 #include "srm/srm_agent.hpp"
 
@@ -54,16 +52,14 @@ class LmsAgent : public srm::SrmAgent {
  protected:
   void on_loss_detected(WantState& want) override;
   void on_exp_request(const net::Packet& pkt) override;
-  void on_packet_available(net::NodeId source, net::SeqNo seq) override;
 
  private:
-  void send_lms_request(net::NodeId source, net::SeqNo seq);
+  /// Sends `want`'s request at its escalation level and arms the retry.
+  void send_lms_request(WantState& want);
   void retry_timer_fired(net::NodeId source, net::SeqNo seq);
 
   LmsConfig lms_config_;
   LmsDirectory& directory_;
-  /// Escalation level per outstanding loss (keyed by (source, seq)).
-  std::map<std::pair<net::NodeId, net::SeqNo>, int> escalation_;
 };
 
 }  // namespace cesrm::lms

@@ -23,6 +23,8 @@ namespace {
 /// object of "key":value pairs where values are JSON numbers or a quoted
 /// kind name — no nesting, no escapes (kind names are snake_case ASCII).
 struct LineCursor {
+  explicit LineCursor(const std::string& text) : line(text) {}
+
   const std::string& line;
   std::size_t pos = 0;
   std::string error;

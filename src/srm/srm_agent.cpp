@@ -36,7 +36,9 @@ SrmAgent::SrmAgent(sim::Simulator& sim, net::Transport& network,
   stream(primary_source_);
 }
 
-SrmAgent::~SrmAgent() = default;
+SrmAgent::~SrmAgent() {
+  for (auto& [source, s] : streams_) discard_recovery_state(s);
+}
 
 void SrmAgent::start_session(sim::SimTime offset) {
   if (failed_) return;
@@ -54,18 +56,25 @@ void SrmAgent::stop_session() {
 void SrmAgent::fail() {
   failed_ = true;
   // Cancel every pending event this member owns so a crashed member is
-  // truly inert: no request/reply/expedited timer survives (their Timers
-  // are destroyed with the per-packet state), and the session timer is
-  // permanently disabled against accidental re-arming.
+  // truly inert: no request/reply/expedited event survives the per-packet
+  // state, and the session timer is permanently disabled against
+  // accidental re-arming.
   if (session_timer_) session_timer_->disable();
   if (catch_up_timer_) catch_up_timer_->disable();
   catch_up_queue_.clear();
   catch_up_next_ = 0;
   for (auto& [source, s] : streams_) {
-    stats_.losses_abandoned_at_crash += s.want.size();
-    s.want.clear();   // request + expedited timers cancel via destructors
-    s.reply.clear();  // reply timers likewise
+    stats_.losses_abandoned_at_crash += s.window.open_wants();
+    discard_recovery_state(s);
   }
+}
+
+void SrmAgent::discard_recovery_state(StreamState& s) {
+  s.window.for_each_want(
+      [this](const WantState& want) { cancel_loss_events(want); });
+  s.window.close_all_wants();
+  s.window.clear_replies(
+      [this](const PendingReply& reply) { sim_.cancel(reply.event); });
 }
 
 void SrmAgent::recover(sim::SimTime session_offset) {
@@ -100,18 +109,8 @@ void SrmAgent::clear_volatile_recovery_state() {
   // packet it actually holds. Everything above that is volatile protocol
   // knowledge, re-learned from session adverts after rejoining (which is
   // exactly the latency a warm restore avoids).
-  for (auto& [source, s] : streams_) {
-    if (originates(source)) continue;
-    net::SeqNo held = net::kNoSeq;
-    for (std::size_t i = s.received.size(); i-- > 0;) {
-      if (s.received[i]) {
-        held = static_cast<net::SeqNo>(i);
-        break;
-      }
-    }
-    s.highest_seq = held;
-    s.received.resize(held < 0 ? 0 : static_cast<std::size_t>(held) + 1);
-  }
+  for (auto& [source, s] : streams_)
+    if (!originates(source)) s.highest_seq = s.window.highest_received();
 }
 
 void SrmAgent::restore_horizon(net::NodeId source, net::SeqNo highest) {
@@ -193,12 +192,8 @@ void SrmAgent::send_data(net::SeqNo seq) {
 }
 
 SrmAgent::StreamState& SrmAgent::stream(net::NodeId source) {
-  auto it = streams_.find(source);
-  if (it == streams_.end()) {
-    StreamState s;
-    s.source = source;
-    it = streams_.emplace(source, std::move(s)).first;
-  }
+  const auto [it, inserted] = streams_.try_emplace(source);
+  if (inserted) it->second.source = source;
   return it->second;
 }
 
@@ -212,8 +207,7 @@ bool SrmAgent::has_packet(net::NodeId source, net::SeqNo seq) const {
   const StreamState* s = find_stream(source);
   if (s == nullptr) return false;
   if (originates(source)) return seq <= s->last_sent;
-  return static_cast<std::size_t>(seq) < s->received.size() &&
-         s->received[static_cast<std::size_t>(seq)];
+  return s->window.received(seq);
 }
 
 net::SeqNo SrmAgent::highest_seq(net::NodeId source) const {
@@ -238,31 +232,39 @@ double SrmAgent::distance_to(net::NodeId peer) const {
 
 std::size_t SrmAgent::outstanding_losses() const {
   std::size_t n = 0;
-  for (const auto& [source, s] : streams_) n += s.want.size();
+  for (const auto& [source, s] : streams_) n += s.window.open_wants();
+  return n;
+}
+
+std::size_t SrmAgent::scheduled_replies() const {
+  std::size_t n = 0;
+  for (const auto& [source, s] : streams_) n += s.window.scheduled_replies();
   return n;
 }
 
 std::size_t SrmAgent::stalled_losses() const {
   std::size_t n = 0;
   for (const auto& [source, s] : streams_)
-    for (const auto& [seq, want] : s.want)
-      if (!want->request_timer || !want->request_timer->armed()) ++n;
+    s.window.for_each_want([this, &n](const WantState& want) {
+      if (!event_pending(want.request_event)) ++n;
+    });
   return n;
 }
 
 void SrmAgent::finalize_stats() {
   for (auto& [source, s] : streams_) {
-    for (const auto& [seq, want] : s.want) {
+    s.window.for_each_want([this](const WantState& want) {
       RecoveryRecord rec;
-      rec.source = source;
-      rec.seq = seq;
-      rec.detect_time = want->detect_time;
+      rec.source = want.source;
+      rec.seq = want.seq;
+      rec.detect_time = want.detect_time;
       rec.recover_time = sim::SimTime::infinity();
       rec.recovered = false;
-      rec.rounds = want->backoff;
+      rec.rounds = static_cast<std::int16_t>(want.backoff);
       stats_.recoveries.push_back(rec);
-    }
-    s.want.clear();
+      cancel_loss_events(want);
+    });
+    s.window.close_all_wants();
   }
 }
 
@@ -353,15 +355,10 @@ SrmAgent::WantState* SrmAgent::detect_loss(net::NodeId source,
                                            net::SeqNo seq, bool suppressed) {
   if (originates(source) || has_packet(source, seq)) return nullptr;
   StreamState& s = stream(source);
-  if (auto it = s.want.find(seq); it != s.want.end()) return it->second.get();
+  if (WantState* open = s.window.want(seq)) return open;
 
-  auto state = std::make_unique<WantState>();
-  WantState* want = state.get();
-  want->source = source;
-  want->seq = seq;
+  WantState* want = &s.window.open_want(source, seq);
   want->detect_time = sim_.now();
-  want->request_timer = std::make_unique<sim::Timer>(
-      sim_, [this, source, seq] { request_timer_fired(source, seq); });
   ++stats_.losses_detected;
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kLossDetected, self_, source, seq,
@@ -372,19 +369,18 @@ SrmAgent::WantState* SrmAgent::detect_loss(net::NodeId source,
     // already backed off to round 1, and the back-off abstinence period
     // for that round begins.
     want->backoff = 1;
-    want->request_timer->arm(draw_request_delay(source, want->backoff));
+    arm_request(*want, draw_request_delay(source, want->backoff));
     want->abstinence_until =
         sim_.now() + sim::SimTime::from_seconds(
                          std::ldexp(config_.c3 * distance_to(source),
                                     want->backoff));
   } else {
     want->backoff = 0;
-    want->request_timer->arm(draw_request_delay(source, 0));
+    arm_request(*want, draw_request_delay(source, 0));
   }
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kRequestScheduled, self_, source,
               seq, net::kInvalidNode, want->backoff);
-  s.want.emplace(seq, std::move(state));
   on_loss_detected(*want);
   return want;
 }
@@ -394,9 +390,7 @@ void SrmAgent::mark_received(const net::Packet& via) {
   const net::SeqNo seq = via.seq;
   if (seq < 0) return;
   StreamState& s = stream(via.source);
-  if (static_cast<std::size_t>(seq) >= s.received.size())
-    s.received.resize(static_cast<std::size_t>(seq) + 1, false);
-  if (s.received[static_cast<std::size_t>(seq)]) {
+  if (!s.window.set_received(seq)) {
     if (via.type == net::PacketType::kReply ||
         via.type == net::PacketType::kExpReply) {
       ++stats_.duplicate_replies_received;
@@ -406,10 +400,9 @@ void SrmAgent::mark_received(const net::Packet& via) {
     }
     return;
   }
-  s.received[static_cast<std::size_t>(seq)] = true;
 
-  if (auto it = s.want.find(seq); it != s.want.end()) {
-    WantState& want = *it->second;
+  if (WantState* open = s.window.want(seq)) {
+    WantState& want = *open;
     RecoveryRecord rec;
     rec.source = via.source;
     rec.seq = seq;
@@ -417,16 +410,17 @@ void SrmAgent::mark_received(const net::Packet& via) {
     rec.recover_time = sim_.now();
     rec.recovered = true;
     rec.expedited = via.type == net::PacketType::kExpReply;
-    rec.rounds = want.backoff;
+    rec.rounds = static_cast<std::int16_t>(want.backoff);
     stats_.recoveries.push_back(rec);
     if (auto* recorder = sim_.recorder()) {
       // Exactly one closing event per RecoveryRecord. An expedited attempt
-      // was actually sent iff the expedited timer exists and has fired
-      // (still-armed means it was beaten within REORDER-DELAY).
+      // was actually sent iff an expedited event was armed and has fired
+      // (still pending means it was beaten within REORDER-DELAY).
       obs::EventKind kind = obs::EventKind::kRecovered;
       if (rec.expedited) {
         kind = obs::EventKind::kExpSuccess;
-      } else if (want.exp_timer && !want.exp_timer->armed()) {
+      } else if (want.exp_event != sim::kInvalidEventId &&
+                 !event_pending(want.exp_event)) {
         kind = obs::EventKind::kExpFallback;
       }
       // aux carries the recovery latency so streaming consumers can fold
@@ -434,8 +428,7 @@ void SrmAgent::mark_received(const net::Packet& via) {
       recorder->emit(sim_.now(), kind, self_, via.source, seq, via.sender,
                      rec.rounds, (sim_.now() - want.detect_time).ns());
     }
-    if (want.exp_timer && want.exp_timer->armed())
-      ++stats_.exp_requests_cancelled;
+    if (event_pending(want.exp_event)) ++stats_.exp_requests_cancelled;
     // Adaptive request timers (Floyd et al. §V): feed the completed
     // episode's duplicate count and, when we requested ourselves, the
     // delay our timer contributed (in units of d̂hs).
@@ -452,7 +445,8 @@ void SrmAgent::mark_received(const net::Packet& via) {
         req_ctrl_->observe_duplicates(dups);
       }
     }
-    s.want.erase(it);  // timers cancel via destructors
+    cancel_loss_events(want);
+    s.window.close_want(seq);
   } else if (via.type == net::PacketType::kReply ||
              via.type == net::PacketType::kExpReply) {
     // A retransmission delivered a packet whose original we never saw and
@@ -484,11 +478,9 @@ void SrmAgent::request_timer_fired(net::NodeId source, net::SeqNo seq) {
     ++stats_.zombie_timer_fires;
     return;
   }
-  StreamState& s = stream(source);
-  const auto it = s.want.find(seq);
-  CESRM_CHECK_MSG(it != s.want.end(), "request timer for unknown loss");
-  WantState& want = *it->second;
-  CESRM_CHECK(!want.recovered);
+  WantState* open = stream(source).window.want(seq);
+  CESRM_CHECK_MSG(open != nullptr, "request timer for unknown loss");
+  WantState& want = *open;
 
   ++stats_.requests_sent;
   ++want.requests_seen;
@@ -501,7 +493,7 @@ void SrmAgent::request_timer_fired(net::NodeId source, net::SeqNo seq) {
                                                  distance_to(source)));
   // Schedule the next round.
   want.backoff = std::min(want.backoff + 1, config_.max_backoff);
-  want.request_timer->arm(draw_request_delay(source, want.backoff));
+  arm_request(want, draw_request_delay(source, want.backoff));
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kRequestScheduled, self_, source,
               seq, net::kInvalidNode, want.backoff);
@@ -515,7 +507,7 @@ void SrmAgent::backoff_request(WantState& want) {
   if (sim_.now() < want.abstinence_until)
     return;  // same recovery round: discard (§2.1 back-off abstinence)
   want.backoff = std::min(want.backoff + 1, config_.max_backoff);
-  want.request_timer->arm(draw_request_delay(want.source, want.backoff));
+  arm_request(want, draw_request_delay(want.source, want.backoff));
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kRequestSuppressed, self_,
               want.source, want.seq, net::kInvalidNode, want.backoff);
@@ -531,32 +523,36 @@ void SrmAgent::handle_request(const net::Packet& pkt) {
     note_new_sequence(pkt.source, pkt.seq - 1);
 
   if (has_packet(pkt.source, pkt.seq)) {
-    ReplyState& rs = reply_state(pkt.source, pkt.seq);
+    StreamState& s = stream(pkt.source);
+    ReplyState& rs = s.window.reply(pkt.seq);
     if (sim_.now() < rs.abstinence_until)
       return;  // reply pending: discard the request (§2.2)
-    if (rs.scheduled) return;  // a reply is already on its way
-    rs.scheduled = true;
-    rs.requestor = pkt.ann.requestor;
-    rs.requestor_dist_to_src = pkt.ann.dist_requestor_source;
-    rs.request_arrival = sim_.now();
-    const double d = distance_to(rs.requestor);
+    if (rs.scheduled()) return;  // a reply is already on its way
+    PendingReply& reply = s.window.schedule_reply(rs);
+    reply.requestor = pkt.ann.requestor;
+    reply.requestor_dist_to_src = pkt.ann.dist_requestor_source;
+    reply.request_arrival = sim_.now();
+    const double d = distance_to(reply.requestor);
     const double d1 = rep_ctrl_ ? rep_ctrl_->deterministic() : config_.d1;
     const double d2 = rep_ctrl_ ? rep_ctrl_->probabilistic() : config_.d2;
     const double lo = d1 * d;
     const double hi = (d1 + d2) * d;
-    rs.reply_timer->arm(sim::SimTime::from_seconds(rng_.uniform(lo, hi)));
+    const net::NodeId source = pkt.source;
+    const net::SeqNo seq = pkt.seq;
+    arm_event(reply.event,
+              sim::SimTime::from_seconds(rng_.uniform(lo, hi)),
+              [this, source, seq] { reply_timer_fired(source, seq); });
     if (auto* rec = sim_.recorder())
       rec->emit(sim_.now(), obs::EventKind::kRepairScheduled, self_,
-                pkt.source, pkt.seq, rs.requestor);
+                pkt.source, pkt.seq, reply.requestor);
     return;
   }
 
   // We share the loss. Either back off our scheduled request or, if this
   // is the first we hear of the packet, detect it in suppressed mode.
-  StreamState& s = stream(pkt.source);
-  if (auto it = s.want.find(pkt.seq); it != s.want.end()) {
-    ++it->second->requests_seen;
-    backoff_request(*it->second);
+  if (WantState* open = stream(pkt.source).window.want(pkt.seq)) {
+    ++open->requests_seen;
+    backoff_request(*open);
   } else if (WantState* fresh =
                  detect_loss(pkt.source, pkt.seq, /*suppressed=*/true)) {
     ++fresh->requests_seen;
@@ -567,79 +563,71 @@ void SrmAgent::handle_request(const net::Packet& pkt) {
 // Reply scheduling (§2.2)
 // ---------------------------------------------------------------------------
 
-SrmAgent::ReplyState& SrmAgent::reply_state(net::NodeId source,
-                                            net::SeqNo seq) {
-  StreamState& s = stream(source);
-  auto it = s.reply.find(seq);
-  if (it == s.reply.end()) {
-    auto state = std::make_unique<ReplyState>();
-    state->reply_timer = std::make_unique<sim::Timer>(
-        sim_, [this, source, seq] { reply_timer_fired(source, seq); });
-    it = s.reply.emplace(seq, std::move(state)).first;
-  }
-  return *it->second;
-}
-
 void SrmAgent::reply_timer_fired(net::NodeId source, net::SeqNo seq) {
   if (failed_) {
     ++stats_.zombie_timer_fires;
     return;
   }
   ReplyState& rs = reply_state(source, seq);
-  CESRM_CHECK(rs.scheduled);
-  rs.scheduled = false;
+  CESRM_CHECK(rs.scheduled());
+  const PendingReply reply = stream(source).window.unschedule_reply(rs);
   CESRM_CHECK(has_packet(source, seq));
 
-  if (note_already_served(source, seq, rs.requestor, /*expedited=*/false)) {
+  if (note_already_served(source, seq, reply.requestor,
+                          /*expedited=*/false)) {
     // Already served before the crash: suppress the duplicate but observe
     // abstinence as if it went out, so a burst of queued requests for the
     // same repair cannot stampede this host.
     rs.abstinence_until =
         sim_.now() + sim::SimTime::from_seconds(config_.d3 *
-                                                distance_to(rs.requestor));
+                                                distance_to(reply.requestor));
     return;
   }
 
   net::RecoveryAnnotation ann;
-  ann.requestor = rs.requestor;
-  ann.dist_requestor_source = rs.requestor_dist_to_src;
+  ann.requestor = reply.requestor;
+  ann.dist_requestor_source = reply.requestor_dist_to_src;
   ann.replier = self_;
-  ann.dist_replier_requestor = distance_to(rs.requestor);
+  ann.dist_replier_requestor = distance_to(reply.requestor);
   ++stats_.replies_sent;
   if (auto* rec = sim_.recorder())
     // aux: how long the reply sat in its suppression timer (§2.2 wait).
     rec->emit(sim_.now(), obs::EventKind::kRepairSent, self_, source, seq,
-              rs.requestor, /*detail=*/0,
-              (sim_.now() - rs.request_arrival).ns());
+              reply.requestor, /*detail=*/0,
+              (sim_.now() - reply.request_arrival).ns());
   if (rep_ctrl_) {
     // Our reply went out undisturbed: a duplicate-free event, plus a delay
     // sample (scheduling delay in units of d̂hh').
-    const double d = distance_to(rs.requestor);
+    const double d = distance_to(reply.requestor);
     const double delay_norm =
-        d > 0.0 ? (sim_.now() - rs.request_arrival).to_seconds() / d : 0.0;
+        d > 0.0 ? (sim_.now() - reply.request_arrival).to_seconds() / d
+                : 0.0;
     rep_ctrl_->observe(0.0, delay_norm);
   }
   net_.multicast(self_, net::make_reply_packet(self_, source, seq, ann));
   if (durable_sink_)
-    durable_sink_->on_reply_served(source, seq, rs.requestor,
+    durable_sink_->on_reply_served(source, seq, reply.requestor,
                                    /*expedited=*/false);
   rs.abstinence_until =
       sim_.now() + sim::SimTime::from_seconds(config_.d3 *
-                                              distance_to(rs.requestor));
+                                              distance_to(reply.requestor));
 }
 
 void SrmAgent::handle_reply(const net::Packet& pkt) {
+  // A reply for a packet this member's own stream never sent has nothing
+  // to suppress, and must not grow the recovery window.
+  if (originates(pkt.source) && !has_packet(pkt.source, pkt.seq)) return;
   // Suppression: cancel any scheduled reply and observe the abstinence
   // period keyed to the requestor that instigated this reply.
-  ReplyState& rs = reply_state(pkt.source, pkt.seq);
+  StreamState& s = stream(pkt.source);
+  ReplyState& rs = s.window.reply(pkt.seq);
   if (rep_ctrl_ && sim_.now() < rs.abstinence_until) {
     // A reply arrived while one was already pending here: a duplicate
     // event from this host's vantage point.
     rep_ctrl_->observe_duplicates(1.0);
   }
-  if (rs.scheduled) {
-    rs.scheduled = false;
-    rs.reply_timer->cancel();
+  if (rs.scheduled()) {
+    sim_.cancel(s.window.unschedule_reply(rs).event);
     if (auto* rec = sim_.recorder())
       rec->emit(sim_.now(), obs::EventKind::kRepairSuppressed, self_,
                 pkt.source, pkt.seq, pkt.sender);

@@ -47,7 +47,6 @@
 #include <set>
 #include <span>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -56,6 +55,7 @@
 #include "sim/timer.hpp"
 #include "srm/adaptive.hpp"
 #include "srm/config.hpp"
+#include "srm/recovery_window.hpp"
 #include "srm/session.hpp"
 #include "util/rng.hpp"
 #include "wire/layout.hpp"
@@ -64,22 +64,25 @@ namespace cesrm::srm {
 
 class DurableSink;
 
-/// Outcome of one loss-recovery episode at one receiver.
+/// Outcome of one loss-recovery episode at one receiver. Every run keeps
+/// one per detected loss until its results are dropped, so the small
+/// fields share one 8-byte word (32 bytes in all).
 struct RecoveryRecord {
   net::NodeId source = net::kInvalidNode;  ///< stream the packet belongs to
-  net::SeqNo seq = net::kNoSeq;
-  sim::SimTime detect_time;
-  sim::SimTime recover_time;
+  /// Request back-off rounds used before recovery (at most max_backoff).
+  std::int16_t rounds = 0;
   bool recovered = false;
   /// True when the packet was recovered by a CESRM expedited reply.
   bool expedited = false;
-  /// Request back-off rounds used before recovery.
-  int rounds = 0;
+  net::SeqNo seq = net::kNoSeq;
+  sim::SimTime detect_time;
+  sim::SimTime recover_time;
   /// Recovery latency in seconds (valid when recovered).
   double latency_seconds() const {
     return (recover_time - detect_time).to_seconds();
   }
 };
+static_assert(sizeof(RecoveryRecord) == 32);
 
 /// Per-host protocol statistics (aggregated over all streams).
 struct HostStats {
@@ -251,6 +254,9 @@ class SrmAgent : public net::Agent {
 
   /// Losses detected but not yet recovered, over all streams.
   std::size_t outstanding_losses() const;
+  /// Replies scheduled and neither sent nor suppressed yet, over all
+  /// streams (each owns one pending event).
+  std::size_t scheduled_replies() const;
 
   /// Known-missing packets still queued for paced re-detection after a
   /// recover() (zero whenever the member is fully caught up).
@@ -280,42 +286,15 @@ class SrmAgent : public net::Agent {
   virtual void finalize_stats();
 
  protected:
-  /// Request-side state for a packet this member lost.
-  struct WantState {
-    net::NodeId source = net::kInvalidNode;
-    net::SeqNo seq = net::kNoSeq;
-    int backoff = 0;  ///< k: times a request has been scheduled
-    std::unique_ptr<sim::Timer> request_timer;
-    sim::SimTime abstinence_until = sim::SimTime::zero();
-    sim::SimTime detect_time;
-    bool recovered = false;
-    // --- adaptive-timer bookkeeping (Floyd et al. §V) ---
-    int requests_seen = 0;  ///< own + foreign requests during this episode
-    sim::SimTime first_own_request = sim::SimTime::infinity();
-    // --- CESRM expedited-recovery extension state ---
-    std::unique_ptr<sim::Timer> exp_timer;
-    net::NodeId exp_replier = net::kInvalidNode;
-    net::RecoveryAnnotation exp_ann;
-  };
-
-  /// Reply-side state for a packet this member holds.
-  struct ReplyState {
-    std::unique_ptr<sim::Timer> reply_timer;
-    bool scheduled = false;
-    net::NodeId requestor = net::kInvalidNode;
-    double requestor_dist_to_src = 0.0;
-    sim::SimTime abstinence_until = sim::SimTime::zero();
-    sim::SimTime request_arrival;  ///< adaptive: when the reply was sched.
-  };
+  using WantState = srm::WantState;
+  using ReplyState = srm::ReplyState;
 
   /// Per-stream protocol state.
   struct StreamState {
     net::NodeId source = net::kInvalidNode;
-    std::vector<bool> received;             ///< indexed by seq (receivers)
     net::SeqNo highest_seq = net::kNoSeq;   ///< highest known-to-exist seq
     net::SeqNo last_sent = net::kNoSeq;     ///< originator only
-    std::unordered_map<net::SeqNo, std::unique_ptr<WantState>> want;
-    std::unordered_map<net::SeqNo, std::unique_ptr<ReplyState>> reply;
+    RecoveryWindow window;                  ///< per-seq recovery state
   };
 
   // --- hooks overridden by CesrmAgent ---
@@ -354,7 +333,37 @@ class SrmAgent : public net::Agent {
   void note_new_sequence(net::NodeId source, net::SeqNo seq);
   void mark_received(const net::Packet& via);
 
-  ReplyState& reply_state(net::NodeId source, net::SeqNo seq);
+  ReplyState& reply_state(net::NodeId source, net::SeqNo seq) {
+    return stream(source).window.reply(seq);
+  }
+
+  /// (Re)arms the per-loss event `id` to run `cb` `delay` from now,
+  /// cancelling the pending one first — a Timer without the allocation.
+  void arm_event(sim::EventId& id, sim::SimTime delay,
+                 sim::EventQueue::Callback&& cb) {
+    if (id != sim::kInvalidEventId) sim_.cancel(id);
+    id = sim_.schedule_at(sim_.now() + delay, std::move(cb));
+  }
+  /// (Re)arms `want`'s request event.
+  void arm_request(WantState& want, sim::SimTime delay) {
+    const net::NodeId source = want.source;
+    const net::SeqNo seq = want.seq;
+    arm_event(want.request_event, delay,
+              [this, source, seq] { request_timer_fired(source, seq); });
+  }
+  /// True while the event `id` has neither fired nor been cancelled.
+  bool event_pending(sim::EventId id) const {
+    return id != sim::kInvalidEventId && sim_.is_pending(id);
+  }
+  /// Cancels the request and expedited/retry events of `want`.
+  void cancel_loss_events(const WantState& want) {
+    sim_.cancel(want.request_event);
+    sim_.cancel(want.exp_event);
+  }
+  /// Drops `s`'s open losses and reply state, cancelling every event they
+  /// own: the request and expedited/retry events of each open loss and
+  /// each scheduled reply.
+  void discard_recovery_state(StreamState& s);
 
   /// Consults the restored reply-dedup ledger before a retransmission of
   /// (`source`, `seq`) to `requestor` goes out. Returns true when the

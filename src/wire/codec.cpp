@@ -132,6 +132,44 @@ bool valid_dist(double v) {
   return std::isfinite(v) && v >= 0.0 && v <= kMaxDistanceSeconds;
 }
 
+// ---------------------------------------------------------------------------
+// Encoding pieces shared by encode_packet and encode_session
+// ---------------------------------------------------------------------------
+
+void put_header(std::vector<std::uint8_t>* out, net::PacketType type,
+                std::size_t frame_len, net::NodeId source, net::SeqNo seq,
+                net::NodeId sender, net::NodeId dest,
+                std::uint32_t payload_len) {
+  out->reserve(out->size() + frame_len);
+  put_u16(out, kMagic);
+  out->push_back(kVersion);
+  out->push_back(static_cast<std::uint8_t>(type));
+  put_u32(out, static_cast<std::uint32_t>(frame_len));
+  put_i32(out, source);
+  put_i64(out, seq);
+  put_i32(out, sender);
+  put_i32(out, dest);
+  put_u32(out, payload_len);
+}
+
+void put_session_body(std::vector<std::uint8_t>* out, sim::SimTime stamp,
+                      std::span<const net::StreamAdvert> streams,
+                      std::span<const net::SessionEcho> echoes) {
+  CESRM_CHECK(streams.size() <= 0xFFFF && echoes.size() <= 0xFFFF);
+  put_i64(out, stamp.ns());
+  put_u16(out, static_cast<std::uint16_t>(streams.size()));
+  put_u16(out, static_cast<std::uint16_t>(echoes.size()));
+  for (const net::StreamAdvert& a : streams) {
+    put_i32(out, a.source);
+    put_i64(out, a.highest_seq);
+  }
+  for (const net::SessionEcho& e : echoes) {
+    put_i32(out, e.peer);
+    put_i64(out, e.peer_stamp.ns());
+    put_i64(out, e.hold.ns());
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -139,42 +177,20 @@ bool valid_dist(double v) {
 // ---------------------------------------------------------------------------
 
 void encode_packet(const net::Packet& pkt, std::vector<std::uint8_t>* out) {
-  const std::size_t frame_len = pkt.encoded_size();
-  out->reserve(out->size() + frame_len);
-  put_u16(out, kMagic);
-  out->push_back(kVersion);
-  out->push_back(static_cast<std::uint8_t>(pkt.type));
-  put_u32(out, static_cast<std::uint32_t>(frame_len));
-  put_i32(out, pkt.source);
-  put_i64(out, pkt.seq);
-  put_i32(out, pkt.sender);
-  put_i32(out, pkt.dest);
   const std::uint32_t payload_len =
       pkt.size_bytes > 0 ? static_cast<std::uint32_t>(pkt.size_bytes) : 0;
-  put_u32(out, payload_len);
+  put_header(out, pkt.type, pkt.encoded_size(), pkt.source, pkt.seq,
+             pkt.sender, pkt.dest, payload_len);
 
   switch (pkt.type) {
     case net::PacketType::kData:
       CESRM_DCHECK(pkt.session == nullptr);
       break;
-    case net::PacketType::kSession: {
+    case net::PacketType::kSession:
       CESRM_CHECK(pkt.session != nullptr);
-      const net::SessionPayload& s = *pkt.session;
-      CESRM_CHECK(s.streams.size() <= 0xFFFF && s.echoes.size() <= 0xFFFF);
-      put_i64(out, s.stamp.ns());
-      put_u16(out, static_cast<std::uint16_t>(s.streams.size()));
-      put_u16(out, static_cast<std::uint16_t>(s.echoes.size()));
-      for (const net::StreamAdvert& a : s.streams) {
-        put_i32(out, a.source);
-        put_i64(out, a.highest_seq);
-      }
-      for (const net::SessionEcho& e : s.echoes) {
-        put_i32(out, e.peer);
-        put_i64(out, e.peer_stamp.ns());
-        put_i64(out, e.hold.ns());
-      }
+      put_session_body(out, pkt.session->stamp, pkt.session->streams,
+                       pkt.session->echoes);
       break;
-    }
     case net::PacketType::kRequest:
       put_i32(out, pkt.ann.requestor);
       put_f64(out, pkt.ann.dist_requestor_source);
@@ -191,6 +207,19 @@ void encode_packet(const net::Packet& pkt, std::vector<std::uint8_t>* out) {
   }
   // Payload content is not modelled: canonical frames zero-fill it.
   out->insert(out->end(), payload_len, 0);
+}
+
+void encode_session(net::NodeId sender, net::NodeId source,
+                    sim::SimTime stamp,
+                    std::span<const net::StreamAdvert> streams,
+                    std::span<const net::SessionEcho> echoes,
+                    std::vector<std::uint8_t>* out) {
+  const std::size_t frame_len = kHeaderSize + kSessionFixedSize +
+                                streams.size() * kStreamAdvertSize +
+                                echoes.size() * kSessionEchoSize;
+  put_header(out, net::PacketType::kSession, frame_len, source, net::kNoSeq,
+             sender, net::kInvalidNode, /*payload_len=*/0);
+  put_session_body(out, stamp, streams, echoes);
 }
 
 std::vector<std::uint8_t> encode_packet(const net::Packet& pkt) {

@@ -48,6 +48,16 @@ struct DecodeError {
 /// convenience constructors in net/packet.hpp always do.
 void encode_packet(const net::Packet& pkt, std::vector<std::uint8_t>* out);
 
+/// Appends the canonical SESSION frame of
+/// make_session_packet(sender, source, payload) for a payload holding
+/// `stamp`, `streams` and `echoes` — without building the payload, for
+/// callers that only encode it (the durable journal's horizon records).
+void encode_session(net::NodeId sender, net::NodeId source,
+                    sim::SimTime stamp,
+                    std::span<const net::StreamAdvert> streams,
+                    std::span<const net::SessionEcho> echoes,
+                    std::vector<std::uint8_t>* out);
+
 /// The canonical encoding of `pkt` as a fresh buffer.
 std::vector<std::uint8_t> encode_packet(const net::Packet& pkt);
 

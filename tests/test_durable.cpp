@@ -15,6 +15,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cesrm/cesrm_agent.hpp"
@@ -139,6 +140,24 @@ TEST(Journal, RoundTripsEveryRecordKind) {
 
   EXPECT_EQ(r.records[3].kind, RecordKind::kExpReplyServed);
   EXPECT_EQ(r.records[3].packet.seq, 8);
+}
+
+TEST(Journal, HorizonRecordBytesMatchTheSessionPacketEncoding) {
+  // append_horizon_record encodes without building a session payload; its
+  // bytes must equal the packet path's, appended after other records too.
+  for (const auto& [node, source, highest] :
+       std::vector<std::tuple<NodeId, NodeId, SeqNo>>{
+           {0, 0, 0},
+           {9, 0, 41},
+           {3, 7, 123456},
+           {(1 << 24) - 1, 2, (SeqNo{1} << 48) - 1}}) {
+    Bytes via_packet = journal_with_one_of_each(1);
+    Bytes direct = via_packet;
+    append_record(RecordKind::kHorizon,
+                  horizon_packet(node, source, highest), &via_packet);
+    append_horizon_record(node, source, highest, &direct);
+    EXPECT_EQ(direct, via_packet) << node << " " << source << " " << highest;
+  }
 }
 
 TEST(Journal, RecordKindAndDiagnosisNamesAreStable) {

@@ -206,7 +206,9 @@ TEST(NetioShim, DataVerdictsAreDeterministicAndSubtreeCorrelated) {
     // Receivers 3 and 4 share lossy link 1: identical verdicts, at any
     // arrival time (DATA coins are time-independent).
     EXPECT_EQ(v3.drop, v4.drop) << "seq " << seq;
-    if (v3.drop) EXPECT_EQ(v3.dropped_on, 1);
+    if (v3.drop) {
+      EXPECT_EQ(v3.dropped_on, 1);
+    }
     // Link 2's subtree is loss-free.
     EXPECT_FALSE(v5.drop);
     // Stateless: a second shim with the same config agrees exactly.

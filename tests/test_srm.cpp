@@ -413,5 +413,235 @@ TEST(SrmAgent, FinalizeRecordsUnrecoveredLosses) {
   EXPECT_EQ(b.at(3).outstanding_losses(), 0u);
 }
 
+
+TEST(SrmAgent, FinalizeStatsEmitsUnrecoveredInSourceSeqOrder) {
+  SrmBench b;
+  // Receiver 4 loses seqs 6, 1 and 4 of both streams (the drop set is per
+  // seq), and no recovery traffic gets through.
+  for (SeqNo seq : {6, 1, 4}) b.drop(seq, 4);
+  b.network->set_drop_fn([&b](const net::Packet& pkt, NodeId from,
+                              NodeId to) {
+    if (pkt.type == net::PacketType::kData)
+      return b.tree->parent(to) == from && b.drops.count({pkt.seq, to}) != 0;
+    return pkt.type == net::PacketType::kRequest ||
+           pkt.type == net::PacketType::kReply;
+  });
+  b.transmit(8);
+  for (SeqNo i = 0; i < 8; ++i)
+    b.sim.schedule_at(SimTime::millis(40) * i + SimTime::millis(7),
+                      [&b, i] { b.at(3).send_data(i); });
+  b.run_for(SimTime::seconds(5));
+  ASSERT_EQ(b.at(4).outstanding_losses(), 6u);
+  b.at(4).finalize_stats();
+  std::vector<std::pair<NodeId, SeqNo>> order;
+  for (const auto& r : b.at(4).stats().recoveries) {
+    EXPECT_FALSE(r.recovered);
+    order.emplace_back(r.source, r.seq);
+  }
+  const std::vector<std::pair<NodeId, SeqNo>> want = {
+      {0, 1}, {0, 4}, {0, 6}, {3, 1}, {3, 4}, {3, 6}};
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(b.at(4).outstanding_losses(), 0u);
+}
+
+TEST(SrmAgent, FailCancelsExactlyTheMembersRecoveryEvents) {
+  SrmBench b;
+  b.drop(1, 4);
+  b.drop(3, 4);
+  b.transmit(5, SimTime::millis(1));
+  // Both gaps are detected by ~55 ms; no request can fire before 80 ms.
+  b.sim.run_until(SimTime::millis(60));
+  SrmAgent& lossy = b.at(4);
+  ASSERT_EQ(lossy.outstanding_losses(), 2u);
+  EXPECT_EQ(lossy.stalled_losses(), 0u);
+  EXPECT_EQ(lossy.scheduled_replies(), 0u);
+  std::size_t before = b.sim.pending_events();
+  lossy.fail();
+  // One request event per open loss, nothing else (no session running).
+  EXPECT_EQ(before - b.sim.pending_events(), 2u);
+  EXPECT_EQ(lossy.outstanding_losses(), 0u);
+  EXPECT_EQ(lossy.stats().losses_abandoned_at_crash, 2u);
+  lossy.recover();
+  // Catch-up re-detects both right away (batch 8 > 2).
+  EXPECT_EQ(lossy.outstanding_losses(), 2u);
+  EXPECT_EQ(lossy.stalled_losses(), 0u);
+
+  // Step until a holder has scheduled a reply to 4's request, then crash
+  // that holder: exactly its scheduled replies leave the queue.
+  SrmAgent& holder = b.at(3);
+  while (holder.scheduled_replies() == 0 && b.sim.step()) {
+  }
+  const std::size_t replies = holder.scheduled_replies();
+  ASSERT_GT(replies, 0u);
+  ASSERT_EQ(holder.outstanding_losses(), 0u);
+  before = b.sim.pending_events();
+  holder.fail();
+  EXPECT_EQ(before - b.sim.pending_events(), replies);
+  EXPECT_EQ(holder.scheduled_replies(), 0u);
+
+  b.run_for(SimTime::seconds(10));
+  EXPECT_EQ(lossy.outstanding_losses(), 0u);
+  for (auto& a : b.agents) EXPECT_EQ(a->stats().zombie_timer_fires, 0u);
+}
+
+TEST(SrmAgent, CrashRunLossCountsMatchHandCount) {
+  SrmBench b;
+  b.drop(1, 4);
+  b.drop(3, 4);
+  b.transmit(5, SimTime::millis(1));
+  b.sim.run_until(SimTime::millis(60));
+  SrmAgent& m = b.at(4);
+  EXPECT_EQ(m.outstanding_losses(), 2u);  // seqs 1 and 3
+  EXPECT_EQ(m.stalled_losses(), 0u);
+  m.fail();
+  EXPECT_EQ(m.outstanding_losses(), 0u);
+  EXPECT_EQ(m.stalled_losses(), 0u);
+  // Seqs 5..7 go out while 4 is down; it hears none of them.
+  for (SeqNo i = 5; i < 8; ++i)
+    b.sim.schedule_at(SimTime::millis(100) + SimTime::millis(10) * i,
+                      [&b, i] { b.at(0).send_data(i); });
+  b.sim.run_until(SimTime::millis(500));
+  m.recover();
+  // Known-missing below the pre-crash horizon (4): seqs 1 and 3.
+  EXPECT_EQ(m.outstanding_losses(), 2u);
+  EXPECT_EQ(m.stalled_losses(), 0u);
+  // Seq 8 reveals the outage gap 5..7, released through catch-up.
+  b.sim.schedule_at(SimTime::millis(600), [&b] { b.at(0).send_data(8); });
+  b.sim.run_until(SimTime::millis(640));
+  EXPECT_EQ(m.outstanding_losses(), 5u);
+  EXPECT_EQ(m.stalled_losses(), 0u);
+  b.run_for(SimTime::seconds(10));
+  EXPECT_EQ(m.outstanding_losses(), 0u);
+  EXPECT_EQ(m.stalled_losses(), 0u);
+  EXPECT_EQ(m.stats().zombie_timer_fires, 0u);
+  for (SeqNo i = 0; i < 9; ++i) EXPECT_TRUE(m.has_packet(i)) << i;
+}
+
+// ------------------------------------------------------ RecoveryWindow ----
+
+std::vector<SeqNo> open_seqs(const RecoveryWindow& w) {
+  std::vector<SeqNo> out;
+  w.for_each_want([&out](const WantState& want) { out.push_back(want.seq); });
+  return out;
+}
+
+TEST(RecoveryWindow, OpenCloseTracksLowAndHighWater) {
+  RecoveryWindow w;
+  EXPECT_EQ(w.open_wants(), 0u);
+  EXPECT_EQ(w.low_water(), w.high_water());
+  const SeqNo far = 3 * static_cast<SeqNo>(RecoveryWindow::kPageSize) + 5;
+  for (SeqNo seq : {SeqNo{9}, SeqNo{5}, far, SeqNo{700}}) {
+    WantState& want = w.open_want(/*source=*/0, seq);
+    EXPECT_EQ(want.seq, seq);
+    EXPECT_EQ(want.source, 0);
+  }
+  EXPECT_EQ(w.open_wants(), 4u);
+  EXPECT_EQ(w.low_water(), 5);
+  EXPECT_EQ(w.high_water(), far + 1);
+  EXPECT_EQ(open_seqs(w), (std::vector<SeqNo>{5, 9, 700, far}));
+  EXPECT_EQ(w.want(6), nullptr);
+  ASSERT_NE(w.want(700), nullptr);
+
+  // Erasing the front moves the low-water mark to the next open loss, and
+  // a scan afterwards starts there.
+  w.close_want(5);
+  EXPECT_EQ(w.low_water(), 9);
+  EXPECT_EQ(open_seqs(w), (std::vector<SeqNo>{9, 700, far}));
+  // Erasing the back pulls the high mark in.
+  w.close_want(far);
+  EXPECT_EQ(w.high_water(), 701);
+  // An interior erase leaves both marks.
+  w.open_want(0, 100);
+  w.close_want(100);
+  EXPECT_EQ(w.low_water(), 9);
+  EXPECT_EQ(w.high_water(), 701);
+  // Opening below the low-water mark lowers it.
+  w.open_want(0, 2);
+  EXPECT_EQ(w.low_water(), 2);
+  EXPECT_EQ(open_seqs(w), (std::vector<SeqNo>{2, 9, 700}));
+
+  // A reused pool slot comes back fresh.
+  w.want(9)->backoff = 3;
+  w.close_want(9);
+  EXPECT_EQ(w.open_want(0, 11).backoff, 0);
+
+  w.close_all_wants();
+  EXPECT_EQ(w.open_wants(), 0u);
+  EXPECT_TRUE(open_seqs(w).empty());
+  EXPECT_EQ(w.want(700), nullptr);
+  w.open_want(0, 40);
+  EXPECT_EQ(w.low_water(), 40);
+  EXPECT_EQ(w.high_water(), 41);
+}
+
+TEST(RecoveryWindow, OpenWantReferencesSurviveGrowth) {
+  RecoveryWindow w;
+  WantState& first = w.open_want(0, 0);
+  first.backoff = 7;
+  for (SeqNo seq = 1; seq < 4000; seq += 3) w.open_want(0, seq);
+  EXPECT_EQ(&first, w.want(0));
+  EXPECT_EQ(first.backoff, 7);
+  ReplyState& rs = w.reply(1);
+  rs.abstinence_until = SimTime::millis(5);
+  w.reply(100000);  // allocates far pages
+  EXPECT_EQ(&rs, &w.reply(1));
+}
+
+TEST(RecoveryWindow, ReceivedAndLostEverBitPlanes) {
+  RecoveryWindow w;
+  EXPECT_EQ(w.highest_received(), net::kNoSeq);
+  EXPECT_FALSE(w.received(0));
+  EXPECT_FALSE(w.received(-1));
+  EXPECT_TRUE(w.set_received(3));
+  EXPECT_FALSE(w.set_received(3));  // already held
+  const SeqNo far = 2 * static_cast<SeqNo>(RecoveryWindow::kPageSize) + 63;
+  EXPECT_TRUE(w.set_received(far));
+  EXPECT_TRUE(w.received(3));
+  EXPECT_TRUE(w.received(far));
+  EXPECT_FALSE(w.received(far - 1));
+  EXPECT_EQ(w.highest_received(), far);
+
+  w.mark_lost_ever(64);
+  w.mark_lost_ever(far);
+  EXPECT_TRUE(w.lost_ever(64));
+  EXPECT_FALSE(w.lost_ever(63));
+  EXPECT_FALSE(w.received(64));  // the planes are independent
+  w.clear_lost_ever();
+  EXPECT_FALSE(w.lost_ever(64));
+  EXPECT_FALSE(w.lost_ever(far));
+  EXPECT_TRUE(w.received(far));
+}
+
+TEST(RecoveryWindow, RepliesScheduleUnscheduleAndClear) {
+  RecoveryWindow w;
+  ReplyState& a = w.reply(4);
+  EXPECT_FALSE(a.scheduled());
+  PendingReply& pa = w.schedule_reply(a);
+  pa.requestor = 7;
+  pa.event = 11;
+  ReplyState& b = w.reply(900);
+  w.schedule_reply(b).event = 12;
+  EXPECT_TRUE(a.scheduled());
+  EXPECT_EQ(w.scheduled_replies(), 2u);
+
+  const PendingReply taken = w.unschedule_reply(a);
+  EXPECT_EQ(taken.requestor, 7);
+  EXPECT_EQ(taken.event, 11u);
+  EXPECT_FALSE(a.scheduled());
+  EXPECT_EQ(w.scheduled_replies(), 1u);
+  // The freed slot is reused fresh.
+  EXPECT_EQ(w.schedule_reply(a).requestor, net::kInvalidNode);
+
+  a.abstinence_until = SimTime::millis(9);
+  std::vector<sim::EventId> cancelled;
+  w.clear_replies(
+      [&cancelled](const PendingReply& r) { cancelled.push_back(r.event); });
+  EXPECT_EQ(cancelled.size(), 2u);
+  EXPECT_EQ(w.scheduled_replies(), 0u);
+  EXPECT_FALSE(w.reply(4).scheduled());
+  EXPECT_EQ(w.reply(4).abstinence_until, SimTime::zero());
+  EXPECT_FALSE(w.reply(900).scheduled());
+}
+
 }  // namespace
 }  // namespace cesrm::srm

@@ -116,6 +116,27 @@ TEST(WireRoundTrip, EncodedSizeMatchesLayoutConstants) {
                 3 * kSessionEchoSize);
 }
 
+TEST(WireRoundTrip, EncodeSessionMatchesTheSessionPacket) {
+  auto payload = std::make_shared<net::SessionPayload>();
+  payload->stamp = SimTime::millis(1234);
+  payload->streams = {{0, 41}, {5, net::kNoSeq}, {2, kMaxSeqNo}};
+  payload->echoes = {{3, SimTime::millis(7), SimTime::millis(2)},
+                     {4, SimTime::zero(), SimTime::seconds(1)}};
+  Bytes via_packet = {0xAB};  // appends after existing bytes
+  Bytes direct = via_packet;
+  encode_packet(net::make_session_packet(6, 0, payload), &via_packet);
+  encode_session(6, 0, payload->stamp, payload->streams, payload->echoes,
+                 &direct);
+  EXPECT_EQ(direct, via_packet);
+
+  Bytes empty_via_packet, empty_direct;
+  encode_packet(
+      net::make_session_packet(1, 1, std::make_shared<net::SessionPayload>()),
+      &empty_via_packet);
+  encode_session(1, 1, SimTime::zero(), {}, {}, &empty_direct);
+  EXPECT_EQ(empty_direct, empty_via_packet);
+}
+
 // ------------------------------------------------------ decoder details ---
 
 TEST(WireDecode, EmptyAndTinyBuffersAreTruncated) {

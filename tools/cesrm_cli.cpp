@@ -213,27 +213,13 @@ int cmd_estimate(const util::CliFlags& flags) {
   return 0;
 }
 
-// Builds the simulate/compare experiment config on top of `base` (the
-// shared run flags main already read); nullopt (after a one-line friendly
-// stderr message, not a CHECK crash) on bad flag values.
-std::optional<harness::ExperimentConfig> config_from_flags(
+// Builds the simulate/compare/netio-run experiment config on top of `base`
+// (the shared run flags main already read).
+harness::ExperimentConfig config_from_flags(
     const util::CliFlags& flags, const harness::ExperimentConfig& base) {
   harness::ExperimentConfig cfg = base;
   cfg.cesrm.router_assist = flags.get_bool("router-assist");
   cfg.cesrm.policy = ::cesrm::cesrm::parse_policy(flags.get_string("policy"));
-  // simulate/compare have no loss ground truth wired into the cache, so
-  // the side-info policies would silently degrade to recency — refuse
-  // them up front with a message instead.
-  const auto cache_policy = cfg.cesrm.cache.policy;
-  if (::cesrm::cesrm::cache_policy_needs_side_info(cache_policy)) {
-    std::cerr << "--cache-policy "
-              << ::cesrm::cesrm::cache_policy_name(cache_policy)
-              << " needs cache side info, which this command does not "
-                 "provide (policies needing side info: "
-              << ::cesrm::cesrm::cache_policies_needing_side_info()
-              << "); pick another policy\n";
-    return std::nullopt;
-  }
   cfg.cesrm.srm.adaptive_timers = flags.get_bool("adaptive");
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   return cfg;
@@ -333,7 +319,6 @@ int cmd_simulate(const util::CliFlags& flags,
                  const harness::ExperimentConfig& base) {
   const auto file = trace::load_trace(flags.get_string("in"));
   const auto cfg = config_from_flags(flags, base);
-  if (!cfg) return 1;
   const std::string protocol = flags.get_string("protocol");
   const auto proto = try_parse_protocol(protocol);
   if (!proto) {
@@ -342,7 +327,7 @@ int cmd_simulate(const util::CliFlags& flags,
     return 1;
   }
 
-  const auto outcomes = replay(flags, *cfg, file, {*proto});
+  const auto outcomes = replay(flags, cfg, file, {*proto});
   const auto& result = outcomes.front().result;
   std::cout << protocol_name(*proto) << " on " << file.loss->name()
             << ":\n"
@@ -372,9 +357,8 @@ int cmd_compare(const util::CliFlags& flags,
                 const harness::ExperimentConfig& base) {
   const auto file = trace::load_trace(flags.get_string("in"));
   const auto cfg = config_from_flags(flags, base);
-  if (!cfg) return 1;
   const auto outcomes =
-      replay(flags, *cfg, file, {Protocol::kSrm, Protocol::kCesrm});
+      replay(flags, cfg, file, {Protocol::kSrm, Protocol::kCesrm});
   const auto& srm = outcomes[0].result;
   const auto& cesrm = outcomes[1].result;
 
@@ -411,14 +395,25 @@ int cmd_compare(const util::CliFlags& flags,
 // through main's catch with the sockets' own friendly hints.
 int cmd_netio_run(const util::CliFlags& flags,
                   const harness::ExperimentConfig& base) {
-  // Reuse the simulate/compare validation for the shared protocol flags
-  // (cache-policy side-info refusal, --trace-out extension, seed).
-  const auto maybe_cfg = config_from_flags(flags, base);
-  if (!maybe_cfg) return 1;
+  const harness::ExperimentConfig run_cfg = config_from_flags(flags, base);
+  // simulate/compare derive the oracle's side info from the trace's loss
+  // representation (run_experiment installs it); a socket run has no
+  // trace, so a side-info policy would silently degrade to recency —
+  // refuse it up front with a message instead.
+  const auto cache_policy = run_cfg.cesrm.cache.policy;
+  if (::cesrm::cesrm::cache_policy_needs_side_info(cache_policy)) {
+    std::cerr << "netio-run: --cache-policy "
+              << ::cesrm::cesrm::cache_policy_name(cache_policy)
+              << " needs cache side info, which a socket run does not "
+                 "have (policies needing side info: "
+              << ::cesrm::cesrm::cache_policies_needing_side_info()
+              << "); pick another policy\n";
+    return 1;
+  }
 
   netio::NetioRunConfig cfg;
-  cfg.cesrm = maybe_cfg->cesrm;
-  cfg.seed = maybe_cfg->seed;
+  cfg.cesrm = run_cfg.cesrm;
+  cfg.seed = run_cfg.seed;
   const std::string protocol = flags.get_string("protocol");
   const auto parsed = try_parse_protocol(protocol);
   if (!parsed || *parsed == Protocol::kLms) {
@@ -478,7 +473,7 @@ int cmd_netio_run(const util::CliFlags& flags,
   cfg.cesrm.srm.session_period =
       sim::SimTime::millis(flags.get_int("session-ms"));
   cfg.cesrm.srm.oracle_distances = flags.get_bool("oracle-distances");
-  cfg.observe_trace = maybe_cfg->observe.trace;
+  cfg.observe_trace = run_cfg.observe.trace;
 
   netio::NetioRunResult out = netio::run_netio(cfg);
   const harness::ExperimentResult& result = out.experiment;

@@ -8,6 +8,7 @@ foreach(args
     "estimate;--in=${trace_file};--method=minc"
     "simulate;--in=${trace_file};--protocol=srm"
     "simulate;--in=${trace_file};--protocol=cesrm;--router-assist"
+    "simulate;--in=${trace_file};--protocol=cesrm;--cache-policy=oracle"
     "simulate;--in=${trace_file};--protocol=lms;--json=${WORK}/smoke_lms.json;--metrics-out=${WORK}/smoke_lms_metrics.json"
     "compare;--in=${trace_file}"
     "wire-gen;--out=${WORK}/smoke.wire;--count=200;--seed=42"
@@ -30,6 +31,14 @@ execute_process(COMMAND ${CLI} netio-run --protocol=lms
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(rc EQUAL 0)
   message(FATAL_ERROR "netio-run --protocol=lms exited 0, want a refusal")
+endif()
+
+# The oracle cache policy reads side info derived from the trace; a socket
+# run has none, so netio-run refuses the policy instead of degrading it.
+execute_process(COMMAND ${CLI} netio-run --cache-policy=oracle
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "netio-run --cache-policy=oracle exited 0, want a refusal")
 endif()
 
 # Malformed input must be diagnosed (exit 2), never crash.
