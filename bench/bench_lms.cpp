@@ -37,8 +37,9 @@ RunOutcome run(Protocol proto, const trace::GeneratedTrace& gen,
                const infer::LinkTraceRepresentation& links,
                const bench::BenchOptions& opts, bool crash) {
   const auto& tree = gen.loss->tree();
-  sim::Simulator sim;
-  net::Network network(sim, tree, opts.base.network);
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
+  net::Network network(engine, tree, opts.base.network);
   util::Rng rng(opts.seed);
 
   // Every protocol's run keeps a directory: the crash scenario picks its
@@ -94,7 +95,7 @@ RunOutcome run(Protocol proto, const trace::GeneratedTrace& gen,
     });
   }
 
-  sim.run_until(warmup + gen.loss->period() * packets +
+  engine.run_until(warmup + gen.loss->period() * packets +
                 sim::SimTime::seconds(60));
 
   RunOutcome out;

@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   for (const Protocol protocol : {Protocol::kSrm, Protocol::kCesrm}) {
     for (const std::uint64_t pop : pops) {
       const auto r = run_best(
-          config_for(protocol, pop, block_members, packets, seed, 0));
+          config_for(protocol, pop, block_members, packets, seed, 1));
       if (r.outstanding != 0 || r.window_overflows != 0) {
         std::cerr << "scale run left losses unresolved: pop=" << pop
                   << " outstanding=" << r.outstanding

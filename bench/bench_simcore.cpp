@@ -125,8 +125,9 @@ double bench_multicast_flood(int reps) {
   shape.receivers = 64;
   shape.depth = 8;
   const auto tree = net::build_random_tree(shape, rng);
-  sim::Simulator sim;
-  net::Network network(sim, tree, {});
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
+  net::Network network(engine, tree, {});
   constexpr int kFloods = 256;
   return best_throughput(
       reps, static_cast<std::uint64_t>(kFloods) * tree.link_count(), [&] {
@@ -150,11 +151,11 @@ double bench_flood_backlog(int reps) {
   constexpr int kFloods = 4096;
   return best_throughput(
       reps, static_cast<std::uint64_t>(kFloods) * tree.link_count(), [&] {
-        sim::Simulator sim;
-        net::Network network(sim, tree, {});
+        sim::ShardedEngine engine(tree.size());
+        net::Network network(engine, tree, {});
         for (int f = 0; f < kFloods; ++f)
           network.multicast(tree.root(), net::make_data_packet(tree.root(), f));
-        sim.run();
+        engine.sim(0).run();
       });
 }
 

@@ -64,13 +64,13 @@ MulticastSession::MulticastSession(MulticastGroup& group, net::NodeId node,
   util::Rng rng = group.rng_.fork(static_cast<std::uint64_t>(node) + 1);
   const net::NodeId primary = group.tree().root();
   if (config.protocol == Protocol::kCesrm) {
-    agent_ = std::make_unique<CesrmAppAgent>(group.sim_, group.network_, node,
-                                             primary, config.cesrm, rng,
-                                             on_available);
+    agent_ = std::make_unique<CesrmAppAgent>(
+        group.simulator(), group.network_, node, primary, config.cesrm, rng,
+        on_available);
   } else {
-    agent_ = std::make_unique<SrmAppAgent>(*this, group.sim_, group.network_,
-                                           node, primary, config.cesrm.srm,
-                                           rng, on_available);
+    agent_ = std::make_unique<SrmAppAgent>(
+        *this, group.simulator(), group.network_, node, primary,
+        config.cesrm.srm, rng, on_available);
   }
   agent_->start_session(sim::SimTime::millis(
       group.rng_.uniform_int(0, config.cesrm.srm.session_period.ns() /
@@ -127,7 +127,7 @@ void MulticastSession::deliver(net::NodeId source, net::SeqNo seq) {
   Adu adu;
   adu.source = source;
   adu.seq = seq;
-  adu.delivered_at = group_->sim_.now();
+  adu.delivered_at = group_->simulator().now();
   handler_(adu);
 }
 
@@ -138,7 +138,9 @@ void MulticastSession::deliver(net::NodeId source, net::SeqNo seq) {
 MulticastGroup::MulticastGroup(
     std::shared_ptr<const net::MulticastTree> tree,
     net::NetworkConfig net_config)
-    : tree_(std::move(tree)), network_(sim_, *tree_, net_config) {
+    : tree_(std::move(tree)),
+      engine_(tree_->size()),
+      network_(engine_, *tree_, net_config) {
   CESRM_CHECK(tree_ != nullptr);
 }
 
@@ -176,10 +178,12 @@ void MulticastGroup::set_drop_fn(net::DropFn fn) {
 }
 
 void MulticastGroup::run_for(sim::SimTime duration) {
-  sim_.run_until(sim_.now() + duration);
+  engine_.run_until(simulator().now() + duration);
 }
 
-void MulticastGroup::run_until(sim::SimTime when) { sim_.run_until(when); }
+void MulticastGroup::run_until(sim::SimTime when) {
+  engine_.run_until(when);
+}
 
 MulticastSession& MulticastGroup::at(net::NodeId node) {
   const auto it = members_.find(node);

@@ -18,7 +18,7 @@
 // is ALF-style out of order by default; ordered_delivery enables a
 // per-stream holdback buffer that releases ADUs in sequence order.
 //
-// The facade is simulation-first (it owns the Simulator and Network), but
+// The facade is simulation-first (it owns the engine and Network), but
 // the session surface — join / send / delivery handler / delivered — is
 // the API a native transport would expose.
 #pragma once
@@ -31,7 +31,7 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "protocol.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded.hpp"
 #include "srm/srm_agent.hpp"
 
 namespace cesrm::api {
@@ -116,7 +116,7 @@ class MulticastGroup {
   /// typically a Gilbert–Elliott process per link.
   void set_drop_fn(net::DropFn fn);
 
-  sim::Simulator& simulator() { return sim_; }
+  sim::Simulator& simulator() { return engine_.sim(0); }
   net::Transport& network() { return network_; }
   const net::MulticastTree& tree() const { return *tree_; }
 
@@ -129,7 +129,7 @@ class MulticastGroup {
   friend class MulticastSession;
 
   std::shared_ptr<const net::MulticastTree> tree_;
-  sim::Simulator sim_;
+  sim::ShardedEngine engine_;
   net::Network network_;
   util::Rng rng_{0xA11CE5EEDULL};
   std::map<net::NodeId, std::unique_ptr<MulticastSession>> members_;

@@ -113,7 +113,8 @@ ExperimentResult run_experiment_impl(
                   "stall check reads SRM request timers, which LmsAgent "
                   "disarms");
   const auto& tree = loss_trace.tree();
-  sim::Simulator sim;
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
 
   // Observability: the recorder outlives the run (agents emit during
   // stop_session/finalize too) and must attach before any event fires.
@@ -123,7 +124,7 @@ ExperimentResult run_experiment_impl(
     sim.set_recorder(&*recorder);
   }
 
-  net::Network network(sim, tree, config.network);
+  net::Network network(engine, tree, config.network);
   util::Rng rng(config.seed);
 
   const net::NodeId source = tree.root();
@@ -249,7 +250,7 @@ ExperimentResult run_experiment_impl(
       oracle->note_crash(crash);
     oracle->start(horizon);
   }
-  sim.run_until(horizon);
+  engine.run_until(horizon);
   if (oracle) oracle->finish(data_source.sent(), source);
 
   // --- collection ---------------------------------------------------------

@@ -2,8 +2,8 @@
 //
 // Every bench reenacts Table-1 traces × {SRM, CESRM} × config variants;
 // the sweep is embarrassingly parallel because each experiment owns its
-// Simulator, Network, and Rng. ExperimentRunner executes a job list on a
-// pool of worker threads while a TraceCache generates each trace and its
+// one-shard engine, Network, and Rng. ExperimentRunner executes a job list
+// on a pool of worker threads while a TraceCache generates each trace and its
 // §4.2 link trace representation exactly once, sharing the immutable
 // result across all jobs that replay it.
 //

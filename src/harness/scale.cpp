@@ -5,7 +5,6 @@
 #include <cmath>
 #include <map>
 #include <memory>
-#include <optional>
 
 #include "harness/group.hpp"
 #include "net/network.hpp"
@@ -163,18 +162,15 @@ ScaleResult run_scale(const ScaleConfig& config) {
   CESRM_CHECK(tree.receivers().size() == blocks);
 
   net::NetworkConfig netcfg;  // the paper's 1.5 Mbps / 20 ms defaults
-  std::optional<sim::ShardedEngine> engine;
-  sim::Simulator flat_sim;
-  if (config.shards >= 1)
-    engine.emplace(partition_tree(tree, config.shards), config.shards,
-                   netcfg.link_delay);
-  sim::Simulator& root_sim = engine ? engine->sim(0) : flat_sim;
+  const int shards = std::max(config.shards, 1);
+  sim::ShardedEngine engine(partition_tree(tree, shards), shards,
+                            netcfg.link_delay);
+  sim::Simulator& root_sim = engine.sim(0);
   const auto sim_of = [&](net::NodeId node) -> sim::Simulator& {
-    return engine ? engine->sim(engine->shard_of(node)) : flat_sim;
+    return engine.sim(engine.shard_of(node));
   };
 
-  net::Network network(root_sim, tree, netcfg);
-  if (engine) network.enable_sharding(&*engine);
+  net::Network network(engine, tree, netcfg);
 
   // Reply-suppression guard: one retransmission flood covers every
   // requestor, so suppress duplicates for a full deepest-path round trip.
@@ -241,10 +237,7 @@ ScaleResult run_scale(const ScaleConfig& config) {
   data_source.start(kWarmup);
 
   const auto t0 = std::chrono::steady_clock::now();
-  if (engine)
-    engine->run_until(horizon);
-  else
-    flat_sim.run_until(horizon);
+  engine.run_until(horizon);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -254,17 +247,10 @@ ScaleResult run_scale(const ScaleConfig& config) {
   r.receivers = config.receivers;
   r.blocks = blocks;
   r.tree_nodes = tree.size();
-  if (engine) {
-    r.events_executed = engine->events_executed();
-    r.events_scheduled = engine->events_scheduled();
-    r.queue_high_water = engine->queue_high_water();
-    r.heap_high_water = engine->heap_high_water();
-  } else {
-    r.events_executed = flat_sim.events_executed();
-    r.events_scheduled = flat_sim.events_scheduled();
-    r.queue_high_water = flat_sim.queue_high_water();
-    r.heap_high_water = flat_sim.heap_high_water();
-  }
+  r.events_executed = engine.events_executed();
+  r.events_scheduled = engine.events_scheduled();
+  r.queue_high_water = engine.queue_high_water();
+  r.heap_high_water = engine.heap_high_water();
   r.wall_seconds = wall;
 
   obs::LogHistogram latency;
@@ -287,7 +273,7 @@ ScaleResult run_scale(const ScaleConfig& config) {
   r.recovery_p50_ns = latency.quantile(0.5);
   r.recovery_p99_ns = latency.quantile(0.99);
   r.session_crossings =
-      network.total_crossings().unicast_of(net::PacketType::kSession);
+      network.crossings().unicast_of(net::PacketType::kSession);
   r.root_summary = srm::aggregate_up(tree, leaf_summary)[
       static_cast<std::size_t>(root)];
   for (const auto& blk : block_agents) r.member_state_bytes += blk->state_bytes();

@@ -68,18 +68,31 @@ void record_drop(sim::Simulator& sim, const Packet& pkt, NodeId from,
 }
 }  // namespace
 
-Network::Network(sim::Simulator& sim, const MulticastTree& tree,
+Network::Network(sim::ShardedEngine& engine, const MulticastTree& tree,
                  NetworkConfig config)
-    : sim_(sim),
+    : engine_(engine),
       tree_(tree),
       config_(config),
       agents_(tree.size(), nullptr),
       busy_(2 * tree.size(), sim::SimTime::zero()),
-      lane_base_(sim.add_lanes(static_cast<std::uint32_t>(busy_.size()),
-                               lane_client())),
-      link_up_(tree.size(), 1) {
+      lane_base_(engine.sim(0).add_lanes(
+          static_cast<std::uint32_t>(busy_.size()), lane_client())),
+      link_up_(tree.size(), 1),
+      shard_stats_(static_cast<std::size_t>(engine.shards())),
+      shard_ser_(static_cast<std::size_t>(engine.shards())) {
   CESRM_CHECK(config_.link_bandwidth_bps > 0.0);
   CESRM_CHECK(config_.link_delay >= sim::SimTime::zero());
+  CESRM_CHECK_MSG(engine.locations() >= tree.size(),
+                  "engine has fewer locations than the tree has nodes");
+  CESRM_CHECK_MSG(
+      engine.shards() == 1 || engine.lookahead() <= config_.link_delay,
+      "engine lookahead exceeds the link delay");
+  // Hop words must find this network at the same lane id on any shard.
+  for (int shard = 1; shard < engine.shards(); ++shard)
+    CESRM_CHECK_MSG(
+        engine.sim(shard).add_lanes(static_cast<std::uint32_t>(busy_.size()),
+                                    lane_client()) == lane_base_,
+        "shard " << shard << " cannot reserve this network's lane block");
 }
 
 void Network::attach(NodeId node, Agent* agent) {
@@ -102,31 +115,20 @@ bool Network::link_up(LinkId link) const {
   return link_up_[static_cast<std::size_t>(link)] != 0;
 }
 
-void Network::enable_sharding(sim::ShardedEngine* engine) {
-  CESRM_CHECK(engine != nullptr);
-  CESRM_CHECK_MSG(perturb_fn_ == nullptr,
-                  "perturbation hook is not supported in sharded mode");
-  CESRM_CHECK_MSG(engine->lookahead() <= config_.link_delay,
-                  "engine lookahead exceeds the link delay");
-  // Hop words must find this network at the same lane id on any shard.
-  for (int shard = 0; shard < engine->shards(); ++shard) {
-    sim::Simulator& sim = engine->sim(shard);
-    if (&sim == &sim_) continue;
-    CESRM_CHECK_MSG(
-        sim.add_lanes(static_cast<std::uint32_t>(busy_.size()),
-                      lane_client()) == lane_base_,
-        "shard " << shard << " cannot reserve this network's lane block");
-  }
-  engine_ = engine;
-  shard_stats_.assign(static_cast<std::size_t>(engine->shards()),
-                      CrossingStats{});
-  shard_ser_.assign(static_cast<std::size_t>(engine->shards()), {});
+void Network::set_perturb_fn(PerturbFn fn) {
+  CESRM_CHECK_MSG(fn == nullptr || engine_.shards() == 1,
+                  "a perturbation hook needs a one-shard engine");
+  perturb_fn_ = std::move(fn);
 }
 
-CrossingStats Network::total_crossings() const {
-  CrossingStats total = stats_;
+CrossingStats Network::crossings() const {
+  CrossingStats total;
   for (const CrossingStats& s : shard_stats_) total += s;
   return total;
+}
+
+void Network::reset_crossings() {
+  for (CrossingStats& s : shard_stats_) s = CrossingStats{};
 }
 
 std::uint32_t Network::link_dir(NodeId from, NodeId to) const {
@@ -141,11 +143,8 @@ sim::SimTime Network::serialization_time(int size_bytes) {
   if (!config_.model_bandwidth || size_bytes <= 0) return sim::SimTime::zero();
   // A sweep sees only a handful of distinct sizes (payload and control),
   // so a tiny linear-scan memo beats recomputing the division + rounding
-  // on every hop of every packet. Sharded runs memoize per shard — the
-  // memo is mutable and each shard only ever consults its own.
-  auto& cache = engine_ ? shard_ser_[static_cast<std::size_t>(
-                              engine_->current_shard())]
-                        : ser_cache_;
+  // on every hop of every packet.
+  auto& cache = shard_ser_[static_cast<std::size_t>(engine_.current_shard())];
   for (const auto& [size, tx] : cache)
     if (size == size_bytes) return tx;
   const sim::SimTime tx = sim::SimTime::from_seconds(
@@ -192,7 +191,6 @@ void Network::send_hop(NodeId from, NodeId to, const PacketRef& pkt,
   stats.wire_bytes[type_idx] += pkt.wire_bytes();
   if (crossing_lost(*pkt, from, to)) return;
   const std::uint32_t dir = link_dir(from, to);
-  const std::uint32_t lane = lane_base_ + dir;
   sim::SimTime arrival = transmit(dir, pkt->size_bytes);
   if (perturb_fn_) {
     const Perturbation p = perturb_fn_(*pkt, from, to);
@@ -200,19 +198,23 @@ void Network::send_hop(NodeId from, NodeId to, const PacketRef& pkt,
     arrival += p.extra_delay;
     if (p.duplicate) {
       ++stats.duplicated[type_idx];
-      const sim::SimTime dup_arrival = transmit(dir, pkt->size_bytes);
-      sim_.schedule_in_lane(lane, dup_arrival, 0, pkt.to_word(mode));
+      schedule_hop(from, to, dir, transmit(dir, pkt->size_bytes), pkt, mode);
     }
   }
+  schedule_hop(from, to, dir, arrival, pkt, mode);
+}
+
+void Network::schedule_hop(NodeId from, NodeId to, std::uint32_t dir,
+                           sim::SimTime arrival, const PacketRef& pkt,
+                           Mode mode) {
   // Jitter can put `arrival` before an earlier hop's on this link; the
   // queue then keeps it off the lane, so the pop order stays exact.
-  if (!engine_) {
-    sim_.schedule_in_lane(lane, arrival, 0, pkt.to_word(mode));
-  } else if (engine_->shard_of(to) == engine_->current_shard()) {
-    engine_->schedule_in_lane_from(from, arrival, lane, pkt.to_word(mode));
+  if (engine_.shard_of(to) == engine_.current_shard()) {
+    engine_.schedule_in_lane_from(from, arrival, lane_base_ + dir,
+                                  pkt.to_word(mode));
   } else {
     // Box counts are not atomic: the receiving shard gets its own box.
-    engine_->schedule_from(
+    engine_.schedule_from(
         from, to, arrival,
         [this, from, to, ref = PacketRef::make(*pkt), mode] {
           arrive(to, from, ref, mode);
@@ -292,15 +294,10 @@ void Network::unicast(NodeId from, const Packet& pkt) {
   const PacketRef ref = PacketRef::make(pkt);
   if (from == pkt.dest) {
     // Degenerate self-send: deliver after zero hops at the next tick.
-    // Always same-shard, so the sharded branch only differs in the tag.
-    auto deliver = [this, from, ref] {
+    engine_.schedule_from(from, from, cur_sim().now(), [this, from, ref] {
       if (Agent* agent = agents_[static_cast<std::size_t>(from)])
         agent->on_packet(*ref);
-    };
-    if (engine_)
-      engine_->schedule_from(from, from, cur_sim().now(), std::move(deliver));
-    else
-      sim_.schedule_in(sim::SimTime::zero(), std::move(deliver));
+    });
     return;
   }
   send_hop(from, tree_.next_hop_toward(from, pkt.dest), ref, Mode::kUnicast);
@@ -318,18 +315,18 @@ void Network::leg_hop(NodeId cur, NodeId router, const PacketRef& pkt) {
   // The leg continues to something other than arrive(), so it is a heap
   // closure rather than a lane word; into another shard it carries its
   // own box.
-  PacketRef leg = engine_->shard_of(next) == engine_->current_shard()
+  PacketRef leg = engine_.shard_of(next) == engine_.current_shard()
                       ? pkt
                       : PacketRef::make(*pkt);
-  engine_->schedule_from(cur, next, arrival,
-                         [this, next, router, ref = std::move(leg)] {
-                           if (next == router) {
-                             for (NodeId c : tree_.children(router))
-                               send_hop(router, c, ref, Mode::kSubcast);
-                           } else {
-                             leg_hop(next, router, ref);
-                           }
-                         });
+  engine_.schedule_from(cur, next, arrival,
+                        [this, next, router, ref = std::move(leg)] {
+                          if (next == router) {
+                            for (NodeId c : tree_.children(router))
+                              send_hop(router, c, ref, Mode::kSubcast);
+                          } else {
+                            leg_hop(next, router, ref);
+                          }
+                        });
 }
 
 void Network::unicast_subcast(NodeId from, NodeId router, const Packet& pkt) {
@@ -338,53 +335,13 @@ void Network::unicast_subcast(NodeId from, NodeId router, const Packet& pkt) {
   const PacketRef ref = PacketRef::make(pkt);
   if (from == router) {
     // Already at the turning point: subcast immediately.
-    auto fanout = [this, router, ref] {
+    engine_.schedule_from(from, from, cur_sim().now(), [this, router, ref] {
       for (NodeId c : tree_.children(router))
         send_hop(router, c, ref, Mode::kSubcast);
-    };
-    if (engine_)
-      engine_->schedule_from(from, from, cur_sim().now(), std::move(fanout));
-    else
-      sim_.schedule_in(sim::SimTime::zero(), std::move(fanout));
+    });
     return;
   }
-  if (engine_) {
-    // Sharded: the synchronous leg walk below would mutate busy horizons
-    // owned by other shards mid-window; chain the leg as real hop events
-    // instead (same per-hop accounting, queueing applied at each hop's
-    // actual local time).
-    leg_hop(from, router, ref);
-    return;
-  }
-  // Unicast leg to the router, then fan out downstream. When the leg
-  // reaches `router`, arrive() would try to deliver to an agent (routers
-  // have none) and stop — so instead we simulate the leg hop-by-hop here,
-  // with the same per-hop accounting (stats, link state, loss decision,
-  // queueing) as send_hop, and schedule the subcast at the leg's modelled
-  // arrival time.
-  Packet leg = pkt;
-  leg.dest = router;
-  NodeId cur = from;
-  sim::SimTime when = sim_.now();
-  while (cur != router) {
-    const NodeId next = tree_.next_hop_toward(cur, router);
-    CESRM_CHECK(next != kInvalidNode);
-    ++stats_.unicast[static_cast<std::size_t>(leg.type)];
-    stats_.wire_bytes[static_cast<std::size_t>(leg.type)] += ref.wire_bytes();
-    if (crossing_lost(leg, cur, next)) return;  // leg lost: no subcast
-    // Approximate queueing on the leg by advancing the busy horizon as of
-    // `when` (the hop's local send time).
-    sim::SimTime& busy = busy_[link_dir(cur, next)];
-    const sim::SimTime start = std::max(when, busy);
-    const sim::SimTime tx = serialization_time(leg.size_bytes);
-    busy = start + tx;
-    when = start + tx + config_.link_delay;
-    cur = next;
-  }
-  sim_.schedule_at(when, [this, router, ref] {
-    for (NodeId c : tree_.children(router))
-      send_hop(router, c, ref, Mode::kSubcast);
-  });
+  leg_hop(from, router, ref);
 }
 
 sim::SimTime Network::path_delay(NodeId a, NodeId b) const {

@@ -34,7 +34,6 @@
 #include "net/topology.hpp"
 #include "net/transport.hpp"
 #include "sim/sharded.hpp"
-#include "sim/simulator.hpp"
 
 namespace cesrm::net {
 
@@ -106,7 +105,14 @@ struct CrossingStats {
 
 class Network : public Transport {
  public:
-  Network(sim::Simulator& sim, const MulticastTree& tree,
+  /// Runs on `engine`: every hop event is scheduled through it with a
+  /// deterministic ⟨origin node, counter⟩ tag (same-shard into a link
+  /// lane, cross-shard via the window-barrier mailboxes), and crossing
+  /// stats and the serialization memo are per shard. With two or more
+  /// shards the drop function must be pure/thread-safe, no administrative
+  /// link-state change may follow the start of the run, and the engine's
+  /// lookahead must not exceed config.link_delay.
+  Network(sim::ShardedEngine& engine, const MulticastTree& tree,
           NetworkConfig config);
 
   const MulticastTree& tree() const override { return tree_; }
@@ -119,23 +125,12 @@ class Network : public Transport {
   /// Installs the per-crossing loss decision; nullptr = lossless.
   void set_drop_fn(DropFn fn) { drop_fn_ = std::move(fn); }
 
-  /// Switches the network onto a sharded parallel engine: every hop event
-  /// is scheduled through the engine with a deterministic ⟨origin node,
-  /// counter⟩ tag (same-shard locally, cross-shard via the window-barrier
-  /// mailboxes), crossing stats and the serialization memo become
-  /// per-shard, and the subcast leg is event-chained hop by hop instead
-  /// of walked synchronously (the walk would mutate busy horizons owned
-  /// by other shards). Legacy mode (no engine, the default) is untouched
-  /// and byte-identical. Requirements in sharded mode: the drop function
-  /// must be pure/thread-safe, no perturbation hook, no administrative
-  /// link-state changes after the run starts, and the engine's lookahead
-  /// must not exceed config().link_delay.
-  void enable_sharding(sim::ShardedEngine* engine);
-
   /// Installs the per-crossing perturbation decision (duplication and
   /// delay jitter); nullptr = undisturbed. Consulted after link state and
-  /// the drop decision, so a dropped packet is never duplicated.
-  void set_perturb_fn(PerturbFn fn) { perturb_fn_ = std::move(fn); }
+  /// the drop decision, so a dropped packet is never duplicated. Needs a
+  /// one-shard engine: the hook is stateful and jitter can undercut the
+  /// lookahead.
+  void set_perturb_fn(PerturbFn fn);
 
   /// Administrative link state (fault injection): a down link drops every
   /// crossing in either direction, counted under CrossingStats::dropped.
@@ -159,13 +154,10 @@ class Network : public Transport {
   /// RTT normalization in reports.
   sim::SimTime path_delay(NodeId a, NodeId b) const override;
 
-  const CrossingStats& crossings() const { return stats_; }
-  void reset_crossings() { stats_ = CrossingStats{}; }
-
-  /// Crossing totals across the legacy counters and every shard's — what
-  /// the sharded harness collects (identical to crossings() without an
-  /// engine). Summed shard 0..S-1; uint64 adds, so layout-independent.
-  CrossingStats total_crossings() const;
+  /// Crossing totals summed over every shard's counters (uint64 adds, so
+  /// independent of the shard layout).
+  CrossingStats crossings() const;
+  void reset_crossings();
 
  private:
   enum class Mode { kMulticast, kUnicast, kSubcast };
@@ -185,14 +177,20 @@ class Network : public Transport {
   static void drop_hop(std::uint64_t word);
   sim::LaneClient lane_client() { return {&fire_hop, &drop_hop, this}; }
 
-  /// Sharded-mode subcast leg: one event-chained unicast-accounted hop of
-  /// `pkt` from `cur` toward `router`; on reaching the router, fans out
-  /// downstream as a subcast.
+  /// Schedules the arrival of `pkt` at `to` over the directed link `dir`
+  /// from `from`: a lane word on the calling shard, or a mailbox event
+  /// carrying its own box into another shard.
+  void schedule_hop(NodeId from, NodeId to, std::uint32_t dir,
+                    sim::SimTime arrival, const PacketRef& pkt, Mode mode);
+
+  /// Subcast leg: one event-chained unicast-accounted hop of `pkt` from
+  /// `cur` toward `router`; on reaching the router, fans out downstream as
+  /// a subcast.
   void leg_hop(NodeId cur, NodeId router, const PacketRef& pkt);
 
   /// Shared per-crossing loss accounting (link state + DropFn): returns
   /// true (and tallies the drop) when the crossing `from` → `to` loses the
-  /// packet. Used by send_hop and the unicast_subcast leg walk.
+  /// packet. Used by send_hop and leg_hop.
   bool crossing_lost(const Packet& pkt, NodeId from, NodeId to);
 
   /// Queueing link model: returns the arrival time of a packet handed to
@@ -211,36 +209,28 @@ class Network : public Transport {
   /// event-queue lane is lane_base_ + link_dir.
   std::uint32_t link_dir(NodeId from, NodeId to) const;
 
-  /// The clock/scheduler of the calling context: the ctor simulator in
-  /// legacy mode, the current shard's in sharded mode.
-  sim::Simulator& cur_sim() {
-    return engine_ ? engine_->current_sim() : sim_;
-  }
+  /// The calling shard's clock/scheduler and crossing counters.
+  sim::Simulator& cur_sim() { return engine_.current_sim(); }
   CrossingStats& cur_stats() {
-    return engine_ ? shard_stats_[static_cast<std::size_t>(
-                         engine_->current_shard())]
-                   : stats_;
+    return shard_stats_[static_cast<std::size_t>(engine_.current_shard())];
   }
 
-  sim::Simulator& sim_;
+  sim::ShardedEngine& engine_;
   const MulticastTree& tree_;
   NetworkConfig config_;
   std::vector<Agent*> agents_;
   std::vector<sim::SimTime> busy_;  ///< per directed link, see link_dir
-  /// First of the 2·tree.size() lanes reserved on the simulator (and, when
-  /// sharded, at the same id on every shard's).
+  /// First of the 2·tree.size() lanes reserved at the same id on every
+  /// shard's simulator.
   std::uint32_t lane_base_;
   /// Indexed by child endpoint. Deliberately not vector<bool>: concurrent
   /// shards read distinct links, and packed bits would share bytes.
   std::vector<char> link_up_;
-  std::vector<std::pair<int, sim::SimTime>> ser_cache_;
   DropFn drop_fn_;
   PerturbFn perturb_fn_;
-  CrossingStats stats_;
-  sim::ShardedEngine* engine_ = nullptr;
-  std::vector<CrossingStats> shard_stats_;  ///< one per shard when sharded
-  /// Per-shard serialization memo (the legacy ser_cache_ is shared
-  /// mutable state and the sizes seen differ per shard anyway).
+  std::vector<CrossingStats> shard_stats_;  ///< one per shard
+  /// Per-shard serialization memo: it is mutable, and each shard only
+  /// ever consults its own.
   std::vector<std::vector<std::pair<int, sim::SimTime>>> shard_ser_;
 };
 

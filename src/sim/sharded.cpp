@@ -11,20 +11,13 @@
 
 namespace cesrm::sim {
 
-namespace {
-/// The running shard thread's index; -1 off the engine's threads. One
-/// engine runs at a time per thread tree (each experiment spawns its own
-/// workers), so a plain thread_local is unambiguous.
-thread_local int tls_shard = -1;
-}  // namespace
-
 ShardedEngine::ShardedEngine(std::vector<int> shard_of_location, int shards,
                              SimTime lookahead)
     : shard_of_location_(std::move(shard_of_location)),
       shards_(shards),
       lookahead_(lookahead) {
   CESRM_CHECK_MSG(shards_ >= 1, "need at least one shard");
-  CESRM_CHECK_MSG(lookahead_ > SimTime::zero(),
+  CESRM_CHECK_MSG(shards_ == 1 || lookahead_ > SimTime::zero(),
                   "conservative windows need a positive lookahead");
   CESRM_CHECK_MSG(
       static_cast<std::uint64_t>(shard_of_location_.size()) + 2 <
@@ -41,11 +34,10 @@ ShardedEngine::ShardedEngine(std::vector<int> shard_of_location, int shards,
   shard_posts_.assign(static_cast<std::size_t>(shards_), 0);
 }
 
-ShardedEngine::~ShardedEngine() = default;
+ShardedEngine::ShardedEngine(std::size_t locations)
+    : ShardedEngine(std::vector<int>(locations, 0), 1, SimTime::zero()) {}
 
-std::size_t ShardedEngine::current_shard_index() const {
-  return tls_shard >= 0 ? static_cast<std::size_t>(tls_shard) : 0;
-}
+ShardedEngine::~ShardedEngine() = default;
 
 void ShardedEngine::post(std::size_t me, int dest, SimTime when,
                          std::uint64_t tag, EventQueue::Callback&& cb) {
@@ -71,6 +63,10 @@ void ShardedEngine::drain_mailboxes(int me) {
 }
 
 void ShardedEngine::run_until(SimTime horizon) {
+  if (shards_ == 1) {
+    sims_[0]->run_until(horizon);
+    return;
+  }
   done_ = false;
   std::vector<SimTime> local_next(static_cast<std::size_t>(shards_),
                                   SimTime::infinity());
@@ -102,7 +98,7 @@ void ShardedEngine::run_until(SimTime horizon) {
   });
 
   auto worker = [&](int me) {
-    tls_shard = me;
+    tls_shard_ = me;
     Simulator& sim = *sims_[static_cast<std::size_t>(me)];
     for (;;) {
       local_next[static_cast<std::size_t>(me)] = sim.next_event_time();
@@ -121,7 +117,7 @@ void ShardedEngine::run_until(SimTime horizon) {
       }
     }
     sim.advance_clock(horizon);
-    tls_shard = -1;
+    tls_shard_ = -1;
   };
 
   std::vector<std::thread> threads;

@@ -19,6 +19,12 @@
 // >= W1, i.e. always beyond the current window, so no shard can receive
 // an event for a time it has already passed.
 //
+// With one shard there is nothing to synchronize: run_until() runs the
+// shard's simulator inline on the caller's thread, with no windows, no
+// thread and no lookahead. That is the engine every full-agent run
+// (Table-1, churn, LMS, the api facade) uses; the (when, tag, seq) order
+// below is the one event order of every simulated run.
+//
 // Determinism for ANY shard count (including 1) rests on the event tags
 // (EventQueue::schedule_tagged). A queue's schedule sequence is an
 // artifact of execution interleaving and differs across layouts, so all
@@ -45,16 +51,20 @@ namespace cesrm::sim {
 class ShardedEngine {
  public:
   /// `shard_of_location[l]` maps location l to its owning shard in
-  /// [0, shards). `lookahead` must be positive and no larger than the
-  /// minimum cross-shard link delay (the harness passes the link delay).
+  /// [0, shards). With two or more shards `lookahead` must be positive and
+  /// no larger than the minimum cross-shard link delay (the harness passes
+  /// the link delay); one shard runs no windows and ignores it.
   ShardedEngine(std::vector<int> shard_of_location, int shards,
                 SimTime lookahead);
+  /// One shard owning `locations` locations.
+  explicit ShardedEngine(std::size_t locations);
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   int shards() const { return shards_; }
   SimTime lookahead() const { return lookahead_; }
+  std::size_t locations() const { return shard_of_location_.size(); }
   int shard_of(int location) const {
     return shard_of_location_[static_cast<std::size_t>(location)];
   }
@@ -64,9 +74,10 @@ class ShardedEngine {
   Simulator& sim(int shard) { return *sims_[static_cast<std::size_t>(shard)]; }
 
   /// The calling shard thread's simulator / shard index. Valid only on a
-  /// shard thread inside run_until() (and, for convenience, on the setup
-  /// thread where it resolves to shard 0's simulator with shard index 0 —
-  /// setup happens before any cross-shard traffic exists).
+  /// shard thread inside run_until(), and off those threads — setup, and
+  /// a one-shard run on the caller's thread — where it resolves to shard
+  /// 0's simulator with shard index 0 (setup happens before any
+  /// cross-shard traffic exists).
   Simulator& current_sim() { return *sims_[current_shard_index()]; }
   int current_shard() const { return static_cast<int>(current_shard_index()); }
 
@@ -104,7 +115,8 @@ class ShardedEngine {
   }
 
   /// Runs all shards to `horizon` (inclusive, like Simulator::run_until)
-  /// on shards() threads, then clamps every shard clock to `horizon`.
+  /// on shards() threads, then clamps every shard clock to `horizon`. One
+  /// shard runs inline: Simulator::run_until on the caller's thread.
   void run_until(SimTime horizon);
 
   // --- aggregate diagnostics (valid after run_until) ---
@@ -120,13 +132,22 @@ class ShardedEngine {
  private:
   static constexpr int kTagShift = 40;
 
+  /// The running shard thread's index; -1 off the engine's threads (and
+  /// for a one-shard run, which stays on the caller's thread). One engine
+  /// runs at a time per thread tree (each experiment spawns its own
+  /// workers), so a plain thread_local is unambiguous.
+  static inline thread_local int tls_shard_ = -1;
+
   struct Posted {
     SimTime when;
     std::uint64_t tag = 0;
     EventQueue::Callback cb;
   };
 
-  std::size_t current_shard_index() const;
+  /// Inline: every network hop asks for its shard several times.
+  std::size_t current_shard_index() const {
+    return tls_shard_ >= 0 ? static_cast<std::size_t>(tls_shard_) : 0;
+  }
   /// Posts a cross-shard event from shard `me` to `dest`'s shard mailbox.
   void post(std::size_t me, int dest, SimTime when, std::uint64_t tag,
             EventQueue::Callback&& cb);

@@ -10,6 +10,31 @@
 
 namespace cesrm::srm {
 
+namespace {
+
+/// True when every node id `pkt` carries names a node of `tree`. The codec
+/// bounds ids only by the wire format, and agents index per-node tables
+/// and tree paths with them. kInvalidNode passes: the codec has already
+/// refused it in every field that needs a node.
+bool node_ids_in_tree(const net::Packet& pkt, const net::MulticastTree& tree) {
+  const auto in_tree = [&tree](net::NodeId v) {
+    return v == net::kInvalidNode || static_cast<std::size_t>(v) < tree.size();
+  };
+  if (!in_tree(pkt.source) || !in_tree(pkt.sender) || !in_tree(pkt.dest) ||
+      !in_tree(pkt.ann.requestor) || !in_tree(pkt.ann.replier) ||
+      !in_tree(pkt.ann.turning_point))
+    return false;
+  if (pkt.session) {
+    for (const net::StreamAdvert& a : pkt.session->streams)
+      if (!in_tree(a.source)) return false;
+    for (const net::SessionEcho& e : pkt.session->echoes)
+      if (!in_tree(e.peer)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 SrmAgent::SrmAgent(sim::Simulator& sim, net::Transport& network,
                    net::NodeId self, net::NodeId primary_source,
                    const SrmConfig& config, util::Rng rng)
@@ -306,7 +331,11 @@ void SrmAgent::on_packet(const net::Packet& pkt) {
 
 bool SrmAgent::on_wire(std::span<const std::uint8_t> bytes) {
   net::Packet pkt;
-  if (auto err = wire::decode_packet_exact(bytes, &pkt)) {
+  auto err = wire::decode_packet_exact(bytes, &pkt);
+  if (!err && !node_ids_in_tree(pkt, net_.tree()))
+    err = wire::DecodeError{wire::DecodeErrorKind::kFieldOutOfRange, 0,
+                            "node id"};
+  if (err) {
     const auto kind = static_cast<std::size_t>(err->kind);
     ++stats_.wire_decode_errors[kind];
     if (auto* rec = sim_.recorder())
@@ -464,7 +493,12 @@ void SrmAgent::mark_received(const net::Packet& via) {
 // ---------------------------------------------------------------------------
 
 sim::SimTime SrmAgent::draw_request_delay(net::NodeId source, int k) {
-  const double d = distance_to(source);
+  // Zero-delay links give a zero distance, and a request timer drawn from
+  // it would re-arm at the instant it fires, forever: the clock would
+  // never reach the repair. One microsecond lies far below any link
+  // delay a run models, so runs with positive delays are unchanged.
+  constexpr double kMinDistance = 1e-6;
+  const double d = std::max(distance_to(source), kMinDistance);
   const double c1 = req_ctrl_ ? req_ctrl_->deterministic() : config_.c1;
   const double c2 = req_ctrl_ ? req_ctrl_->probabilistic() : config_.c2;
   const double lo = c1 * d;

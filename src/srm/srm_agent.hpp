@@ -215,8 +215,9 @@ class SrmAgent : public net::Agent {
 
   /// Hardened wire-format ingress: decodes exactly one frame from `bytes`
   /// and dispatches it through on_packet(). Malformed input of any kind —
-  /// truncation, bad magic/version, out-of-range fields, trailing bytes —
-  /// is counted in HostStats::wire_decode_errors, reported as an
+  /// truncation, bad magic/version, out-of-range fields (a node id outside
+  /// the transport's tree among them), trailing bytes — is counted in
+  /// HostStats::wire_decode_errors, reported as an
   /// obs::EventKind::kDecodeError trace event (detail = the error kind),
   /// and dropped without touching any protocol state. Returns true when
   /// the frame was accepted.

@@ -88,12 +88,14 @@ TEST(AdaptiveController, RejectsNegativeSeeds) {
 
 /// Bench on tree 0(1(3 4) 2(5)) with adaptive timers enabled.
 struct AdaptiveBench {
-  AdaptiveBench() {
+  AdaptiveBench()
+      : tree(std::make_unique<net::MulticastTree>(
+            net::parse_tree("0(1(3 4) 2(5))"))),
+        engine(tree->size()),
+        sim(engine.sim(0)) {
     net::NetworkConfig ncfg;
     ncfg.link_delay = SimTime::millis(10);
-    tree = std::make_unique<net::MulticastTree>(
-        net::parse_tree("0(1(3 4) 2(5))"));
-    network = std::make_unique<net::Network>(sim, *tree, ncfg);
+    network = std::make_unique<net::Network>(engine, *tree, ncfg);
     config.oracle_distances = true;
     config.adaptive_timers = true;
     for (NodeId n : std::vector<NodeId>{0, 3, 4, 5}) {
@@ -112,8 +114,9 @@ struct AdaptiveBench {
       if (a->node() == node) return *a;
     throw std::runtime_error("no agent");
   }
-  sim::Simulator sim;
   std::unique_ptr<net::MulticastTree> tree;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   std::unique_ptr<net::Network> network;
   SrmConfig config;
   std::vector<std::unique_ptr<SrmAgent>> agents;
@@ -126,11 +129,11 @@ TEST(AdaptiveSrm, ControllersExistOnlyWhenEnabled) {
   EXPECT_NE(b.at(3).reply_controller(), nullptr);
 
   // And a default (fixed) agent has none.
-  sim::Simulator sim2;
   auto tree2 = net::parse_tree("0(1 2)");
-  net::Network net2(sim2, tree2, {});
+  sim::ShardedEngine engine2(tree2.size());
+  net::Network net2(engine2, tree2, {});
   SrmConfig fixed;
-  SrmAgent plain(sim2, net2, 1, 0, fixed, util::Rng(1));
+  SrmAgent plain(engine2.sim(0), net2, 1, 0, fixed, util::Rng(1));
   EXPECT_EQ(plain.request_controller(), nullptr);
   EXPECT_EQ(plain.reply_controller(), nullptr);
 }

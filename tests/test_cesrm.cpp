@@ -224,12 +224,14 @@ TEST(Policy, ParseErrorListsValidValues) {
 /// CESRM test bench on tree 0(1(3 4) 2(5)): source at 0, receivers 3/4/5,
 /// 10 ms links, oracle distances, REORDER-DELAY 0 unless overridden.
 struct CesrmBench {
-  explicit CesrmBench(std::uint64_t seed = 1, CesrmConfig cfg = {}) {
+  explicit CesrmBench(std::uint64_t seed = 1, CesrmConfig cfg = {})
+      : tree(std::make_unique<net::MulticastTree>(
+            net::parse_tree("0(1(3 4) 2(5))"))),
+        engine(tree->size()),
+        sim(engine.sim(0)) {
     net::NetworkConfig ncfg;
     ncfg.link_delay = SimTime::millis(10);
-    tree = std::make_unique<net::MulticastTree>(
-        net::parse_tree("0(1(3 4) 2(5))"));
-    network = std::make_unique<net::Network>(sim, *tree, ncfg);
+    network = std::make_unique<net::Network>(engine, *tree, ncfg);
     cfg.srm.oracle_distances = true;
     config = cfg;
     for (NodeId n : std::vector<NodeId>{0, 3, 4, 5}) {
@@ -259,8 +261,9 @@ struct CesrmBench {
 
   void run_for(SimTime t) { sim.run_until(sim.now() + t); }
 
-  sim::Simulator sim;
   std::unique_ptr<net::MulticastTree> tree;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   std::unique_ptr<net::Network> network;
   CesrmConfig config;
   std::vector<std::unique_ptr<CesrmAgent>> agents;

@@ -294,11 +294,13 @@ TEST(AgentStore, WriteBehindCommitsEveryFlushWindow) {
 struct Bench {
   explicit Bench(std::uint64_t seed = 1,
                  const std::string& tree_str = "0(1(2 3))",
-                 std::vector<NodeId> nodes = {0, 2, 3}) {
+                 std::vector<NodeId> nodes = {0, 2, 3})
+      : tree(std::make_unique<net::MulticastTree>(net::parse_tree(tree_str))),
+        engine(tree->size()),
+        sim(engine.sim(0)) {
     net::NetworkConfig ncfg;
     ncfg.link_delay = SimTime::millis(10);
-    tree = std::make_unique<net::MulticastTree>(net::parse_tree(tree_str));
-    network = std::make_unique<net::Network>(sim, *tree, ncfg);
+    network = std::make_unique<net::Network>(engine, *tree, ncfg);
     config.srm.oracle_distances = true;
     for (NodeId n : nodes) {
       agents.push_back(std::make_unique<cesrm::CesrmAgent>(
@@ -328,8 +330,9 @@ struct Bench {
 
   void run_until(SimTime t) { sim.run_until(t); }
 
-  sim::Simulator sim;
   std::unique_ptr<net::MulticastTree> tree;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   std::unique_ptr<net::Network> network;
   cesrm::CesrmConfig config;
   std::vector<std::unique_ptr<cesrm::CesrmAgent>> agents;

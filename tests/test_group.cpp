@@ -42,9 +42,10 @@ TEST(GroupSteps, MembersComeSourceFirstThenReceivers) {
 }
 
 TEST(GroupSteps, MakeAgentBuildsTheSelectedProtocol) {
-  sim::Simulator sim;
   const net::MulticastTree tree = net::parse_tree("0(1(3 4) 2(5))");
-  net::Network network(sim, tree, {});
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
+  net::Network network(engine, tree, {});
   lms::LmsDirectory directory(sim, tree, kLmsRepairDelay);
   const cesrm::CesrmConfig config;
   util::Rng rng(1);
@@ -79,11 +80,12 @@ TEST(GroupSteps, SessionOffsetsAreWholeMillisecondsWithinOnePeriod) {
 }
 
 TEST(GroupSteps, CollectMemberStopsTheSessionAndTakesRttFromItsTransport) {
-  sim::Simulator sim;
   const net::MulticastTree tree = net::parse_tree("0(1(3 4) 2(5))");
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
   net::NetworkConfig ncfg;
   ncfg.link_delay = SimTime::millis(15);
-  net::Network network(sim, tree, ncfg);
+  net::Network network(engine, tree, ncfg);
   util::Rng rng(2);
   const cesrm::CesrmConfig config;
   auto source = make_agent(Protocol::kSrm, config, nullptr, sim, network, 0,

@@ -161,6 +161,21 @@ TEST(Experiment, MaxPacketsCapsTheRun) {
   EXPECT_LT(result.total_losses_detected(), w.gen.loss->total_losses());
 }
 
+TEST(Experiment, ZeroLinkDelayRunsOnOneShard) {
+  // A one-shard engine needs no lookahead, so pure-serialization links
+  // (--link-delay-ms=0) run, and every loss is still recovered.
+  const auto& w = workload();
+  for (const Protocol protocol : {Protocol::kSrm, Protocol::kCesrm}) {
+    ExperimentConfig cfg;
+    cfg.protocol = protocol;
+    cfg.max_packets = 1000;
+    cfg.network.link_delay = sim::SimTime::zero();
+    const auto result = run_experiment(*w.gen.loss, *w.links, cfg);
+    EXPECT_GT(result.total_losses_detected(), 0u) << protocol_name(protocol);
+    EXPECT_EQ(result.total_unrecovered(), 0u) << protocol_name(protocol);
+  }
+}
+
 TEST(Experiment, LossyRecoveryStillRecoversEverything) {
   // §4.3's robustness remark: with recovery packets also dropped, both
   // protocols keep recovering (latencies grow slightly).

@@ -27,8 +27,9 @@ net::MulticastTree small_tree() {
 }
 
 TEST(LmsDirectory, DesignatesLowestReceiverPerRouter) {
-  sim::Simulator sim;
   const auto tree = small_tree();
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
   LmsDirectory dir(sim, tree, SimTime::seconds(10));
   EXPECT_EQ(dir.designated_replier(1), 3);
   EXPECT_EQ(dir.designated_replier(2), 5);
@@ -38,8 +39,9 @@ TEST(LmsDirectory, DesignatesLowestReceiverPerRouter) {
 }
 
 TEST(LmsDirectory, RoutesSkipSelfReplier) {
-  sim::Simulator sim;
   const auto tree = small_tree();
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
   LmsDirectory dir(sim, tree, SimTime::seconds(10));
   // Receiver 4's lowest ancestor router is 1, whose replier (3) != 4.
   auto r = dir.route(4, 0);
@@ -59,8 +61,9 @@ TEST(LmsDirectory, RoutesSkipSelfReplier) {
 }
 
 TEST(LmsDirectory, StaleUntilRepairThenRedesignates) {
-  sim::Simulator sim;
   const auto tree = small_tree();
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
   LmsDirectory dir(sim, tree, SimTime::seconds(10));
   dir.fail_member(3);
   EXPECT_TRUE(dir.is_failed(3));
@@ -75,8 +78,9 @@ TEST(LmsDirectory, StaleUntilRepairThenRedesignates) {
 }
 
 TEST(LmsDirectory, FailingAllSubtreeReceiversLeavesNoReplier) {
-  sim::Simulator sim;
   const auto tree = small_tree();
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
   LmsDirectory dir(sim, tree, SimTime::millis(100));
   dir.fail_member(3);
   dir.fail_member(4);
@@ -91,11 +95,13 @@ TEST(LmsDirectory, FailingAllSubtreeReceiversLeavesNoReplier) {
 // ----------------------------------------------------------------- agent ----
 
 struct LmsBench {
-  explicit LmsBench(std::uint64_t seed = 1) {
+  explicit LmsBench(std::uint64_t seed = 1)
+      : tree(std::make_unique<net::MulticastTree>(small_tree())),
+        engine(tree->size()),
+        sim(engine.sim(0)) {
     net::NetworkConfig ncfg;
     ncfg.link_delay = SimTime::millis(10);
-    tree = std::make_unique<net::MulticastTree>(small_tree());
-    network = std::make_unique<net::Network>(sim, *tree, ncfg);
+    network = std::make_unique<net::Network>(engine, *tree, ncfg);
     config.srm.oracle_distances = true;
     directory =
         std::make_unique<LmsDirectory>(sim, *tree, SimTime::seconds(10));
@@ -121,8 +127,9 @@ struct LmsBench {
       sim.schedule_at(SimTime::millis(80 * i),
                       [this, i] { at(0).send_data(i); });
   }
-  sim::Simulator sim;
   std::unique_ptr<net::MulticastTree> tree;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   std::unique_ptr<net::Network> network;
   LmsConfig config;
   std::unique_ptr<LmsDirectory> directory;

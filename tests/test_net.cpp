@@ -291,14 +291,18 @@ class RecordingAgent : public Agent {
 
 struct NetFixture {
   explicit NetFixture(NetworkConfig cfg = {})
-      : tree(small_tree()), network(sim, tree, cfg) {
+      : tree(small_tree()),
+        engine(tree.size()),
+        sim(engine.sim(0)),
+        network(engine, tree, cfg) {
     for (NodeId n : std::vector<NodeId>{0, 3, 4, 5}) {
       agents.emplace(n, std::make_unique<RecordingAgent>(sim, n));
       network.attach(n, agents[n].get());
     }
   }
-  sim::Simulator sim;
   MulticastTree tree;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   Network network;
   std::map<NodeId, std::unique_ptr<RecordingAgent>> agents;
 };
@@ -510,9 +514,10 @@ TEST(Network, DropFnSeesUpstreamCrossingsOfFloods) {
 }
 
 TEST(Network, AttachRejectsRoutersAndDuplicates) {
-  sim::Simulator sim;
   const auto tree = small_tree();
-  Network network(sim, tree, {});
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
+  Network network(engine, tree, {});
   RecordingAgent router_agent(sim, 1);
   EXPECT_THROW(network.attach(1, &router_agent), util::CheckError);
   RecordingAgent a(sim, 3), b(sim, 3);
@@ -675,14 +680,15 @@ TEST(Network, TwoNetworksOnOneSimulatorGetDisjointLaneBlocks) {
   // Same tree, same simulator, different link delays: the fast network's
   // hops would sort before the slow one's on a shared lane and spill
   // into the heap. Each network owns its own lane block instead.
-  sim::Simulator sim;
   const MulticastTree tree = small_tree();
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
   NetworkConfig slow_cfg;
   slow_cfg.link_delay = sim::SimTime::millis(100);
   NetworkConfig fast_cfg;
   fast_cfg.link_delay = sim::SimTime::millis(20);
-  Network slow(sim, tree, slow_cfg);
-  Network fast(sim, tree, fast_cfg);
+  Network slow(engine, tree, slow_cfg);
+  Network fast(engine, tree, fast_cfg);
   const sim::LaneClient idle{[](void*, std::uint32_t, std::uint64_t) {},
                              [](std::uint64_t) {}, nullptr};
   EXPECT_EQ(sim.add_lanes(1, idle), 2 * 2 * tree.size());
@@ -718,17 +724,30 @@ TEST(Network, TwoNetworksOnOneSimulatorGetDisjointLaneBlocks) {
 }
 
 TEST(Network, ShardedDeliveryMatchesUnsharded) {
-  // Two shards: {0, 1, 3, 4} and {2, 5}. Floods, a unicast and a
-  // subcast leg cross between them through the mailboxes, each crossing
-  // with its own packet box; every member must see exactly what the
-  // single-simulator network delivers, at the same times. Sends are
-  // spaced so no link queues: the unsharded subcast leg reserves its
-  // links at send time, which only matches the hop chain on idle links.
+  // One shard vs two: {0, 1, 3, 4} and {2, 5}. Floods, a unicast and a
+  // subcast leg cross between the two shards through the mailboxes, each
+  // crossing with its own packet box; every member must see exactly what
+  // the one-shard network delivers, at the same times, with the same
+  // crossing counts.
   const MulticastTree tree = small_tree();
   const NetworkConfig cfg;
-  const std::vector<int> shard_of{0, 0, 1, 0, 0, 1};
   using Seen = std::vector<std::tuple<sim::SimTime, PacketType, SeqNo>>;
-  const auto traffic = [](Network& net, auto&& sim_of) {
+  struct Run {
+    std::map<NodeId, Seen> seen;
+    CrossingStats crossings;
+    std::uint64_t posts = 0;
+  };
+  const auto run = [&](const std::vector<int>& shard_of, int shards) {
+    sim::ShardedEngine engine(shard_of, shards, cfg.link_delay);
+    Network net(engine, tree, cfg);
+    const auto sim_of = [&](NodeId n) -> sim::Simulator& {
+      return engine.sim(engine.shard_of(n));
+    };
+    std::map<NodeId, std::unique_ptr<RecordingAgent>> agents;
+    for (NodeId n : {0, 3, 4, 5}) {
+      agents.emplace(n, std::make_unique<RecordingAgent>(sim_of(n), n));
+      net.attach(n, agents[n].get());
+    }
     const auto at = [&](NodeId node, std::int64_t ms, auto send) {
       sim_of(node).schedule_at(sim::SimTime::millis(ms), send);
     };
@@ -744,44 +763,43 @@ TEST(Network, ShardedDeliveryMatchesUnsharded) {
       ann.turning_point = 1;
       net.unicast_subcast(5, 1, make_exp_reply_packet(5, 0, 2, ann));
     });
-  };
-  const auto seen_by = [](const RecordingAgent& a) {
-    Seen seen;
-    for (const auto& d : a.deliveries)
-      seen.emplace_back(d.at, d.pkt.type, d.pkt.seq);
-    std::sort(seen.begin(), seen.end());
-    return seen;
+    engine.run_until(sim::SimTime::seconds(1));
+    Run r;
+    for (const auto& [n, a] : agents) {
+      Seen& seen = r.seen[n];
+      for (const auto& d : a->deliveries)
+        seen.emplace_back(d.at, d.pkt.type, d.pkt.seq);
+      std::sort(seen.begin(), seen.end());
+    }
+    r.crossings = net.crossings();
+    r.posts = engine.cross_shard_posts();
+    return r;
   };
 
-  NetFixture flat(cfg);
-  traffic(flat.network, [&flat](NodeId) -> sim::Simulator& { return flat.sim; });
-  flat.sim.run();
-
-  sim::ShardedEngine engine(shard_of, 2, cfg.link_delay);
-  Network sharded(engine.sim(0), tree, cfg);
-  sharded.enable_sharding(&engine);
-  const auto sim_of = [&engine, &shard_of](NodeId n) -> sim::Simulator& {
-    return engine.sim(shard_of[static_cast<std::size_t>(n)]);
-  };
-  std::map<NodeId, std::unique_ptr<RecordingAgent>> agents;
+  const Run one = run(std::vector<int>(tree.size(), 0), 1);
+  const Run two = run({0, 0, 1, 0, 0, 1}, 2);
+  EXPECT_EQ(one.posts, 0u);
+  EXPECT_GT(two.posts, 0u);
   for (NodeId n : {0, 3, 4, 5}) {
-    agents.emplace(n, std::make_unique<RecordingAgent>(sim_of(n), n));
-    sharded.attach(n, agents[n].get());
+    EXPECT_FALSE(one.seen.at(n).empty()) << "node " << n;
+    EXPECT_EQ(one.seen.at(n), two.seen.at(n)) << "node " << n;
   }
-  traffic(sharded, sim_of);
-  engine.run_until(sim::SimTime::seconds(1));
-  EXPECT_GT(engine.cross_shard_posts(), 0u);
+  EXPECT_EQ(one.crossings.multicast, two.crossings.multicast);
+  EXPECT_EQ(one.crossings.unicast, two.crossings.unicast);
+  EXPECT_EQ(one.crossings.subcast, two.crossings.subcast);
+  EXPECT_EQ(one.crossings.wire_bytes, two.crossings.wire_bytes);
+}
 
-  for (NodeId n : {0, 3, 4, 5}) {
-    EXPECT_FALSE(agents[n]->deliveries.empty()) << "node " << n;
-    EXPECT_EQ(seen_by(*agents[n]), seen_by(*flat.agents[n])) << "node " << n;
-  }
-  const CrossingStats a = flat.network.total_crossings();
-  const CrossingStats b = sharded.total_crossings();
-  EXPECT_EQ(a.multicast, b.multicast);
-  EXPECT_EQ(a.unicast, b.unicast);
-  EXPECT_EQ(a.subcast, b.subcast);
-  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+TEST(Network, PerturbHookNeedsAOneShardEngine) {
+  const MulticastTree tree = small_tree();
+  const NetworkConfig cfg;
+  sim::ShardedEngine engine({0, 0, 1, 0, 0, 1}, 2, cfg.link_delay);
+  Network network(engine, tree, cfg);
+  EXPECT_THROW(network.set_perturb_fn([](const Packet&, NodeId, NodeId) {
+    return Perturbation{};
+  }),
+               util::CheckError);
+  network.set_perturb_fn(nullptr);  // clearing the hook is always allowed
 }
 
 TEST(Network, PerturbNeverAppliesToDroppedPackets) {

@@ -331,9 +331,12 @@ std::vector<std::uint8_t> parse_hex_file(const std::filesystem::path& path) {
 
 /// One live member on real sockets, driven deterministically enough for
 /// corpus replay: datagrams are pushed at its unicast endpoint from a
-/// plain socket and the reactor is polled until they surface.
+/// plain socket and the reactor is polled until they surface. The tree
+/// holds every node the corpus frames name (0–7), so the ingress tree
+/// check accepts exactly the frames the decoder accepts; out-of-tree ids
+/// are WireIngress.OutOfTreeNodeIdsCountedAndDropped's case.
 struct LiveMember {
-  net::MulticastTree tree = net::parse_tree("0(1 2)");
+  net::MulticastTree tree = net::parse_tree("0(1 2 3 4 5 6 7)");
   AddressPlan plan;
   ShimConfig shim_cfg;
   std::unique_ptr<LossShim> shim;
@@ -345,8 +348,6 @@ struct LiveMember {
   explicit LiveMember(std::uint16_t mcast_port) {
     plan.mcast_port = mcast_port;
     plan.unicast.assign(tree.size(), Endpoint{});
-    // Must be nonzero: agents derive request-timer delays from path_delay,
-    // and a zero distance would re-arm them at +0 forever.
     shim_cfg.link_delay = SimTime::millis(1);
     shim = std::make_unique<LossShim>(tree, shim_cfg);
     transport =

@@ -202,8 +202,9 @@ TEST_P(NetworkProperty, FloodUnicastSubcastInvariants) {
   shape.depth = 2 + seed % 5;
   const auto tree = net::build_random_tree(shape, rng);
 
-  sim::Simulator sim;
-  net::Network network(sim, tree, {});
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
+  net::Network network(engine, tree, {});
 
   struct CountingAgent : net::Agent {
     int count = 0;
@@ -357,8 +358,9 @@ TEST_P(LmsProperty, RecoversEveryLossOnRandomWorkloads) {
   infer::LinkTraceRepresentation links(*gen.loss, est.loss_rate);
 
   const auto& tree = gen.loss->tree();
-  sim::Simulator sim;
-  net::Network network(sim, tree, {});
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
+  net::Network network(engine, tree, {});
   lms::LmsDirectory directory(sim, tree, sim::SimTime::seconds(10));
   lms::LmsConfig cfg;
   util::Rng rng(spec.seed);

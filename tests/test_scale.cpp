@@ -11,7 +11,7 @@
 #include "net/network.hpp"
 #include "net/packet.hpp"
 #include "net/topology_builder.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded.hpp"
 #include "srm/receiver_block.hpp"
 #include "srm/session_aggregate.hpp"
 #include "util/check.hpp"
@@ -87,8 +87,9 @@ TEST(ReceiverBlock, LosslessMembersTrackTheStreamInTwoWords) {
   shape.receivers = 4;
   shape.depth = 3;
   const auto tree = net::build_random_tree(shape, rng);
-  sim::Simulator sim;
-  net::Network network(sim, tree, {});
+  sim::ShardedEngine engine(tree.size());
+  sim::Simulator& sim = engine.sim(0);
+  net::Network network(engine, tree, {});
   srm::ReceiverBlockConfig bc;
   bc.members = 8;
   bc.member_loss = 0.0;
@@ -238,8 +239,13 @@ TEST(ScaleSharding, ResultsIdenticalForEveryShardCount) {
     cfg.member_loss = 0.03;
     cfg.seed = 17;
     cfg.shards = 1;
-    const std::string want = scale_fingerprint(harness::run_scale(cfg));
-    for (int shards : {2, 4}) {
+    const harness::ScaleResult one = harness::run_scale(cfg);
+    EXPECT_GT(one.losses, 0u);
+    EXPECT_EQ(one.recovered, one.losses);
+    EXPECT_EQ(one.outstanding, 0u);
+    const std::string want = scale_fingerprint(one);
+    // 0 shards runs as one.
+    for (int shards : {0, 2, 4}) {
       cfg.shards = shards;
       EXPECT_EQ(want, scale_fingerprint(harness::run_scale(cfg)))
           << "protocol=" << protocol_name(protocol) << " shards=" << shards;
@@ -262,9 +268,9 @@ TEST(ScaleRun, RejectsLmsWithAFriendlyMessage) {
 }
 
 TEST(ScaleQueue, FloodBacklogWaitsInLinkLanes) {
-  // Queued hops wait in per-link lanes behind one heap entry each, on the
-  // classic queue and on the sharded engine alike.
-  for (const int shards : {0, 2}) {
+  // Queued hops wait in per-link lanes behind one heap entry each, on one
+  // shard and on two alike.
+  for (const int shards : {1, 2}) {
     harness::ScaleConfig cfg;
     cfg.protocol = Protocol::kSrm;
     cfg.receivers = 2000;
@@ -279,27 +285,6 @@ TEST(ScaleQueue, FloodBacklogWaitsInLinkLanes) {
     EXPECT_GT(r.heap_high_water, 0u) << "shards=" << shards;
     EXPECT_LT(r.heap_high_water, r.queue_high_water) << "shards=" << shards;
   }
-}
-
-TEST(ScaleSharding, LegacyAndShardedAgreeOnOutcomes) {
-  harness::ScaleConfig cfg;
-  cfg.receivers = 1000;
-  cfg.block_members = 50;
-  cfg.tree_depth = 4;
-  cfg.packets = 60;
-  cfg.member_loss = 0.03;
-  cfg.seed = 19;
-  cfg.shards = 0;
-  const auto legacy = harness::run_scale(cfg);
-  cfg.shards = 2;
-  const auto sharded = harness::run_scale(cfg);
-  // Losses are hash-determined, so identical across engines; recovery
-  // completes under both.
-  EXPECT_EQ(legacy.losses, sharded.losses);
-  EXPECT_EQ(legacy.recovered, legacy.losses);
-  EXPECT_EQ(sharded.recovered, sharded.losses);
-  EXPECT_EQ(sharded.outstanding, 0u);
-  EXPECT_EQ(legacy.session_rounds, sharded.session_rounds);
 }
 
 }  // namespace

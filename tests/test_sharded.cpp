@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <thread>
 
 #include "sim/sharded.hpp"
 #include "util/check.hpp"
@@ -45,6 +46,33 @@ TEST(ShardedEngine, RejectsPastCrossShardPosts) {
                  util::CheckError);
   });
   engine.run_until(sim::SimTime::millis(10));
+}
+
+TEST(ShardedEngine, MultiShardRefusesANonPositiveLookahead) {
+  EXPECT_THROW(sim::ShardedEngine({0, 1}, 2, sim::SimTime::zero()),
+               util::CheckError);
+  EXPECT_THROW(sim::ShardedEngine({0, 1}, 2, sim::SimTime::millis(-1)),
+               util::CheckError);
+}
+
+TEST(ShardedEngine, OneShardRunsInlineWithoutWindows) {
+  // One shard has nothing to synchronize: no lookahead, no windows, and
+  // the events run on the caller's thread.
+  sim::ShardedEngine engine(2);
+  EXPECT_EQ(engine.shards(), 1);
+  std::thread::id ran_on;
+  int fired = 0;
+  for (int i = 0; i < 3; ++i)
+    engine.schedule_from(i % 2, 1 - i % 2, sim::SimTime::millis(i), [&] {
+      ran_on = std::this_thread::get_id();
+      ++fired;
+    });
+  engine.run_until(sim::SimTime::seconds(1));
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(engine.windows_run(), 0u);
+  EXPECT_EQ(engine.cross_shard_posts(), 0u);
+  EXPECT_EQ(engine.sim(0).now(), sim::SimTime::seconds(1));
 }
 
 }  // namespace

@@ -84,12 +84,14 @@ TEST(DistanceTable, NegativeRttIgnored) {
 struct SrmBench {
   explicit SrmBench(std::uint64_t seed = 1,
                     SimTime link_delay = SimTime::millis(10),
-                    bool oracle = true) {
+                    bool oracle = true)
+      : tree(std::make_unique<net::MulticastTree>(
+            net::parse_tree("0(1(3 4) 2(5))"))),
+        engine(tree->size()),
+        sim(engine.sim(0)) {
     net::NetworkConfig ncfg;
     ncfg.link_delay = link_delay;
-    tree = std::make_unique<net::MulticastTree>(
-        net::parse_tree("0(1(3 4) 2(5))"));
-    network = std::make_unique<net::Network>(sim, *tree, ncfg);
+    network = std::make_unique<net::Network>(engine, *tree, ncfg);
     config.oracle_distances = oracle;
     for (NodeId n : std::vector<NodeId>{0, 3, 4, 5}) {
       agents.push_back(std::make_unique<SrmAgent>(
@@ -120,8 +122,9 @@ struct SrmBench {
 
   void run_for(SimTime t) { sim.run_until(sim.now() + t); }
 
-  sim::Simulator sim;
   std::unique_ptr<net::MulticastTree> tree;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   std::unique_ptr<net::Network> network;
   SrmConfig config;
   std::vector<std::unique_ptr<SrmAgent>> agents;

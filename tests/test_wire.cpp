@@ -374,9 +374,13 @@ TEST(WireDecoder, StopsAtFirstMalformedFrameWithAbsoluteOffset) {
 /// Two-member bench on tree 0(1(3)) with an obs recorder attached: the
 /// receiver at 3 takes hostile bytes through SrmAgent::on_wire.
 struct IngressBench {
-  IngressBench() : recorder(obs::ObsConfig{}) {
-    tree = std::make_unique<net::MulticastTree>(net::parse_tree("0(1(2))"));
-    network = std::make_unique<net::Network>(sim, *tree, net::NetworkConfig{});
+  IngressBench()
+      : recorder(obs::ObsConfig{}),
+        tree(std::make_unique<net::MulticastTree>(net::parse_tree("0(1(2))"))),
+        engine(tree->size()),
+        sim(engine.sim(0)) {
+    network =
+        std::make_unique<net::Network>(engine, *tree, net::NetworkConfig{});
     sim.set_recorder(&recorder);
     srm::SrmConfig config;
     config.oracle_distances = true;
@@ -422,9 +426,10 @@ struct IngressBench {
     EXPECT_TRUE(fingerprint() == before);
   }
 
-  sim::Simulator sim;
   obs::TraceRecorder recorder;
   std::unique_ptr<net::MulticastTree> tree;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   std::unique_ptr<net::Network> network;
   std::unique_ptr<srm::SrmAgent> source;
   std::unique_ptr<srm::SrmAgent> receiver;
@@ -458,6 +463,26 @@ TEST(WireIngress, FieldOutOfRangeCountedAndDropped) {
   buf[12] = 0xFE;
   for (int i = 1; i < 8; ++i) buf[12 + i] = 0xFF;
   bench.expect_rejected(buf, DecodeErrorKind::kFieldOutOfRange);
+}
+
+TEST(WireIngress, OutOfTreeNodeIdsCountedAndDropped) {
+  // Well-formed frames whose node ids fit the codec's 24 bits but name no
+  // node of the group's three-node tree.
+  IngressBench bench;
+  const auto outside = static_cast<NodeId>(bench.tree->size());
+  net::Packet data = net::make_data_packet(0, 0);
+  data.sender = outside;
+  bench.expect_rejected(encode_packet(data), DecodeErrorKind::kFieldOutOfRange);
+  net::RecoveryAnnotation ann;
+  ann.requestor = 2;
+  ann.replier = outside;
+  ann.turning_point = 1;
+  bench.expect_rejected(encode_packet(net::make_reply_packet(0, 0, 0, ann)),
+                        DecodeErrorKind::kFieldOutOfRange);
+  // The same reply from an in-tree replier is accepted.
+  ann.replier = 0;
+  EXPECT_TRUE(bench.receiver->on_wire(
+      encode_packet(net::make_reply_packet(0, 0, 0, ann))));
 }
 
 TEST(WireIngress, TrailingGarbageCountedAndDropped) {
