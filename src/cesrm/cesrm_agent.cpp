@@ -145,13 +145,6 @@ void CesrmAgent::exp_timer_fired(net::NodeId source, net::SeqNo seq) {
                            want.exp_ann));
 }
 
-void CesrmAgent::on_packet_available(net::NodeId source, net::SeqNo seq) {
-  // Nothing to do: mark_received() closed the loss, cancelled any pending
-  // expedited request and counted it in HostStats::exp_requests_cancelled.
-  (void)source;
-  (void)seq;
-}
-
 void CesrmAgent::on_reply_observed(const net::Packet& pkt) {
   // §3.1: replies update the cache only at hosts that suffered the loss.
   if (originates(pkt.source) || !lost_ever(pkt.source, pkt.seq)) return;

@@ -89,7 +89,6 @@ class CesrmAgent : public srm::SrmAgent {
   void on_loss_detected(WantState& want) override;
   void on_reply_observed(const net::Packet& pkt) override;
   void on_exp_request(const net::Packet& pkt) override;
-  void on_packet_available(net::NodeId source, net::SeqNo seq) override;
 
  private:
   void exp_timer_fired(net::NodeId source, net::SeqNo seq);

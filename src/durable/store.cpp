@@ -180,10 +180,7 @@ void Manager::attach(srm::SrmAgent& agent) {
                   "durable manager with mode off");
   auto& slot = stores_[agent.node()];
   if (!slot) slot = std::make_unique<AgentStore>(agent.node(), config_);
-  if (config_.mode == DurableMode::kWarm) {
-    agent.set_durable_sink(slot.get());
-    agent.set_reply_dedup(config_.dedup_replies);
-  }
+  if (config_.mode == DurableMode::kWarm) agent.set_durable_sink(slot.get());
 }
 
 void Manager::on_crash(srm::SrmAgent& agent) {

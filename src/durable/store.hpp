@@ -58,10 +58,6 @@ struct DurableConfig {
   /// journal every `flush_every` appends (1 = write-through). A crash
   /// loses at most flush_every - 1 records.
   std::size_t flush_every = 8;
-  /// Reply-dedup at the retransmission send paths (warm mode only — the
-  /// ledger is populated by journal replay). Off is a diagnostic mode:
-  /// duplicates are served and counted, and the fault oracle flags them.
-  bool dedup_replies = true;
 };
 
 /// Aggregated store accounting (summed over agents by Manager::totals).
@@ -144,7 +140,7 @@ class Manager {
   explicit Manager(const DurableConfig& config) : config_(config) {}
 
   /// Registers `agent`: creates its store and, in warm mode, installs the
-  /// store as the agent's durable sink and applies the dedup setting.
+  /// store as the agent's durable sink.
   /// The manager must outlive the agent's sends.
   void attach(srm::SrmAgent& agent);
 

@@ -4,8 +4,9 @@
 // §3.3/§5): a member at the source and at every receiver, staggered
 // session starts, a fixed-period transmission, a drain, and per-member
 // statistics. run_experiment, netio::run_netio, bench_lms and run_scale
-// build it from these steps; each keeps its own RNG draw order and
-// event-scheduling order, which is why they are steps and not one loop.
+// build it from these steps, and nothing else in the repository builds
+// members; each keeps its own RNG draw order and event-scheduling order,
+// which is why they are steps and not one loop.
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,12 @@
 // protocol.hpp — the one protocol-selection enum of the repository.
 //
-// Every layer that picks a loss-recovery protocol — the application-facing
-// api::SessionConfig, the trace-driven harness::ExperimentConfig, the
-// bench sweeps and the CLI — selects from this single enum, which also
-// covers the LMS baseline of §3.3/§5 (run by the simulated experiment
-// pipeline only: it needs router replier state). (It used to be
-// duplicated as api::Transport and harness::Protocol; the ns-3/ccns3Sim
-// experience is that a reusable simulator reproduction needs exactly one
-// such switch, shared by the session API and the experiment harness.)
+// Every layer that picks a loss-recovery protocol — the trace-driven
+// harness::ExperimentConfig, the scale and netio runs, the bench sweeps
+// and the CLI — selects from this single enum, which also covers the LMS
+// baseline of §3.3/§5 (run by the simulated experiment pipeline only: it
+// needs router replier state). The ns-3/ccns3Sim experience is that a
+// reusable simulator reproduction needs exactly one such switch, shared
+// by every backend.
 #pragma once
 
 #include <optional>

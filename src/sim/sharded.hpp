@@ -22,7 +22,7 @@
 // With one shard there is nothing to synchronize: run_until() runs the
 // shard's simulator inline on the caller's thread, with no windows, no
 // thread and no lookahead. That is the engine every full-agent run
-// (Table-1, churn, LMS, the api facade) uses; the (when, tag, seq) order
+// (Table-1, churn, LMS) uses; the (when, tag, seq) order
 // below is the one event order of every simulated run.
 //
 // Determinism for ANY shard count (including 1) rests on the event tags

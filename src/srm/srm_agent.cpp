@@ -33,6 +33,25 @@ bool node_ids_in_tree(const net::Packet& pkt, const net::MulticastTree& tree) {
   return true;
 }
 
+/// Maximum request back-off exponent; 2^k growth is capped here to keep
+/// timeouts bounded in pathological suppression storms (the paper does not
+/// bound it; 16 rounds ≈ 65 000× the base interval, far beyond any
+/// recovery observed).
+constexpr int kMaxBackoff = 16;
+
+// Crash-recovery catch-up pacing (§3.3 graceful degradation). A rejoining
+// member re-detects every packet it is missing, but releases the
+// detections in batches of kCatchUpBatch every kCatchUpInterval. Unpaced,
+// a member returning from a long outage arms hundreds of request timers in
+// one instant; the synchronized request burst and the reply avalanche it
+// triggers congest bandwidth-modeled links for tens of simulated seconds.
+// Pacing also lets multicast replies triggered by one rejoining member
+// silently repair the others before they ever request. The pace, ~53
+// requests/s, is well under the ~180 replies/s the paper's 1.5 Mbps / 1 KB
+// links can serialize, leaving headroom for the ongoing transmission.
+constexpr std::size_t kCatchUpBatch = 8;
+constexpr sim::SimTime kCatchUpInterval = sim::SimTime::millis(150);
+
 }  // namespace
 
 SrmAgent::SrmAgent(sim::Simulator& sim, net::Transport& network,
@@ -114,7 +133,7 @@ void SrmAgent::recover(sim::SimTime session_offset) {
   // in flight at crash time (fail() discarded their want state) would
   // otherwise sit in a permanent blind spot below the horizon the member
   // already knew. The queue is released in paced batches rather than
-  // detected here all at once — see SrmConfig::catch_up_batch.
+  // detected here all at once — see kCatchUpBatch.
   for (auto& [source, s] : streams_) {
     if (originates(source)) continue;
     for (net::SeqNo seq = 0; seq <= s.highest_seq; ++seq)
@@ -183,11 +202,8 @@ void SrmAgent::release_catch_up_batch() {
     ++stats_.zombie_timer_fires;
     return;
   }
-  const std::size_t batch = config_.catch_up_batch > 0
-                                ? static_cast<std::size_t>(config_.catch_up_batch)
-                                : catch_up_queue_.size();
   std::size_t released = 0;
-  while (catch_up_next_ < catch_up_queue_.size() && released < batch) {
+  while (catch_up_next_ < catch_up_queue_.size() && released < kCatchUpBatch) {
     const auto [source, seq] = catch_up_queue_[catch_up_next_++];
     // A repair overheard since recover() — typically one triggered by
     // another member rejoining from the same outage — may have filled the
@@ -199,7 +215,7 @@ void SrmAgent::release_catch_up_batch() {
       catch_up_timer_ = std::make_unique<sim::Timer>(
           sim_, [this] { release_catch_up_batch(); });
     }
-    catch_up_timer_->arm(config_.catch_up_interval);
+    catch_up_timer_->arm(kCatchUpInterval);
   } else {
     catch_up_queue_.clear();
     catch_up_next_ = 0;
@@ -485,7 +501,6 @@ void SrmAgent::mark_received(const net::Packet& via) {
       rec->emit(sim_.now(), obs::EventKind::kRepairBeforeDetection, self_,
                 via.source, seq, via.sender);
   }
-  on_packet_available(via.source, seq);
 }
 
 // ---------------------------------------------------------------------------
@@ -503,7 +518,7 @@ sim::SimTime SrmAgent::draw_request_delay(net::NodeId source, int k) {
   const double c2 = req_ctrl_ ? req_ctrl_->probabilistic() : config_.c2;
   const double lo = c1 * d;
   const double hi = (c1 + c2) * d;
-  const double scale = std::ldexp(1.0, std::min(k, config_.max_backoff));
+  const double scale = std::ldexp(1.0, std::min(k, kMaxBackoff));
   return sim::SimTime::from_seconds(scale * rng_.uniform(lo, hi));
 }
 
@@ -526,7 +541,7 @@ void SrmAgent::request_timer_fired(net::NodeId source, net::SeqNo seq) {
   net_.multicast(self_, net::make_request_packet(self_, source, seq,
                                                  distance_to(source)));
   // Schedule the next round.
-  want.backoff = std::min(want.backoff + 1, config_.max_backoff);
+  want.backoff = std::min(want.backoff + 1, kMaxBackoff);
   arm_request(want, draw_request_delay(source, want.backoff));
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kRequestScheduled, self_, source,
@@ -540,7 +555,7 @@ void SrmAgent::request_timer_fired(net::NodeId source, net::SeqNo seq) {
 void SrmAgent::backoff_request(WantState& want) {
   if (sim_.now() < want.abstinence_until)
     return;  // same recovery round: discard (§2.1 back-off abstinence)
-  want.backoff = std::min(want.backoff + 1, config_.max_backoff);
+  want.backoff = std::min(want.backoff + 1, kMaxBackoff);
   arm_request(want, draw_request_delay(want.source, want.backoff));
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kRequestSuppressed, self_,
@@ -714,6 +729,5 @@ void SrmAgent::on_exp_request(const net::Packet& pkt) {
   // silently (mixed deployments fall back to normal recovery).
   (void)pkt;
 }
-void SrmAgent::on_packet_available(net::NodeId, net::SeqNo) {}
 
 }  // namespace cesrm::srm

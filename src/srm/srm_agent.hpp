@@ -69,7 +69,7 @@ class DurableSink;
 /// fields share one 8-byte word (32 bytes in all).
 struct RecoveryRecord {
   net::NodeId source = net::kInvalidNode;  ///< stream the packet belongs to
-  /// Request back-off rounds used before recovery (at most max_backoff).
+  /// Request back-off rounds used before recovery (at most 16).
   std::int16_t rounds = 0;
   bool recovered = false;
   /// True when the packet was recovered by a CESRM expedited reply.
@@ -187,9 +187,9 @@ class SrmAgent : public net::Agent {
   /// to an agent without durability. Non-owning; must outlive the agent.
   void set_durable_sink(DurableSink* sink) { durable_sink_ = sink; }
   /// Enables/disables the reply-dedup check at the retransmission send
-  /// paths. On (the default once a ledger is restored), a repair already
-  /// served before the crash is suppressed exactly once; off, it is
-  /// re-served and counted in duplicate_retransmissions_served.
+  /// paths. On (the default), a repair already served before the crash is
+  /// suppressed exactly once; off is the diagnostic mode: it is re-served
+  /// and counted in duplicate_retransmissions_served.
   void set_reply_dedup(bool on) { reply_dedup_ = on; }
   /// Discards the volatile recovery state a cold (journal-less) restart
   /// loses: the reply-dedup ledger and every sequence horizon beyond what
@@ -306,8 +306,6 @@ class SrmAgent : public net::Agent {
   virtual void on_reply_observed(const net::Packet& pkt);
   /// Called when a unicast expedited request arrives (CESRM only).
   virtual void on_exp_request(const net::Packet& pkt);
-  /// Called when packet (`source`, `seq`) becomes locally available.
-  virtual void on_packet_available(net::NodeId source, net::SeqNo seq);
 
   // --- shared machinery the subclass reuses ---
   StreamState& stream(net::NodeId source);
@@ -327,8 +325,8 @@ class SrmAgent : public net::Agent {
   void handle_reply(const net::Packet& pkt);
   void reply_timer_fired(net::NodeId source, net::SeqNo seq);
   void session_timer_fired();
-  /// Releases the next catch_up_batch queued re-detections and re-arms
-  /// the catch-up timer while any remain (see SrmConfig::catch_up_batch).
+  /// Releases the next batch of queued re-detections (8) and re-arms the
+  /// catch-up timer (150 ms) while any remain.
   void release_catch_up_batch();
   /// Everything up to `seq` exists on `source`'s stream: detect any gap.
   void note_new_sequence(net::NodeId source, net::SeqNo seq);

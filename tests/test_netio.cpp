@@ -6,8 +6,9 @@
 // through a live socket (verdicts must be byte-identical to the in-memory
 // decoder's), and whole-group loopback integration runs whose outcome
 // feeds the same InvariantOracle the simulated pipeline uses. Each test
-// that opens the shared multicast port uses its own port number so suites
-// never collide across concurrent ctest workers.
+// that opens the shared multicast port uses its own port number, and ctest
+// runs every netio entry under one resource lock, so a whole-binary run
+// (sanitize_netio) never shares a port with a per-test entry.
 
 #include <gtest/gtest.h>
 

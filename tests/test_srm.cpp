@@ -3,6 +3,7 @@
 // distance estimation, and recovery completion.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <set>
 
@@ -518,6 +519,74 @@ TEST(SrmAgent, CrashRunLossCountsMatchHandCount) {
   EXPECT_EQ(m.stalled_losses(), 0u);
   EXPECT_EQ(m.stats().zombie_timer_fires, 0u);
   for (SeqNo i = 0; i < 9; ++i) EXPECT_TRUE(m.has_packet(i)) << i;
+}
+
+TEST(SrmAgent, CatchUpReleasesEightPerInterval) {
+  SrmBench b;
+  for (SeqNo i = 1; i <= 20; ++i) b.drop(i, 4);
+  // No reply gets through, so every queued packet is still missing when
+  // its batch comes up and takes a slot.
+  b.network->set_drop_fn([&b](const net::Packet& pkt, NodeId from,
+                              NodeId to) {
+    if (pkt.type == net::PacketType::kData)
+      return b.tree->parent(to) == from && b.drops.count({pkt.seq, to}) != 0;
+    return pkt.type == net::PacketType::kReply;
+  });
+  b.transmit(22);
+  b.sim.run_until(SimTime::seconds(2));
+  SrmAgent& m = b.at(4);
+  ASSERT_EQ(m.outstanding_losses(), 20u);  // seqs 1..20
+  m.fail();
+  b.sim.run_until(SimTime::millis(2500));
+  m.recover();
+  // The first batch of 8 is re-detected at recover(), then 8 more every
+  // 150 ms until the queue is empty.
+  EXPECT_EQ(m.catch_up_pending(), 12u);
+  EXPECT_EQ(m.outstanding_losses(), 8u);
+  b.sim.run_until(SimTime::millis(2649));
+  EXPECT_EQ(m.catch_up_pending(), 12u);
+  b.sim.run_until(SimTime::millis(2650));
+  EXPECT_EQ(m.catch_up_pending(), 4u);
+  EXPECT_EQ(m.outstanding_losses(), 16u);
+  b.sim.run_until(SimTime::millis(2799));
+  EXPECT_EQ(m.catch_up_pending(), 4u);
+  b.sim.run_until(SimTime::millis(2800));
+  EXPECT_EQ(m.catch_up_pending(), 0u);
+  EXPECT_EQ(m.outstanding_losses(), 20u);
+  EXPECT_EQ(m.stalled_losses(), 0u);
+  EXPECT_EQ(m.stats().zombie_timer_fires, 0u);
+}
+
+/// Exposes the protected request-timeout draw.
+class RequestDrawProbe : public SrmAgent {
+ public:
+  using SrmAgent::SrmAgent;
+  using SrmAgent::draw_request_delay;
+};
+
+TEST(SrmAgent, RequestBackoffCapsAtSixteenRounds) {
+  const net::MulticastTree tree = net::parse_tree("0(1(3 4) 2(5))");
+  sim::ShardedEngine engine(tree.size());
+  net::Network network(engine, tree, net::NetworkConfig{});
+  SrmConfig config;
+  config.oracle_distances = true;
+  RequestDrawProbe probe(engine.sim(0), network, 3, 0, config, util::Rng(1));
+  const double d = probe.distance_to(0);
+  ASSERT_GT(d, 0.0);
+  // A round-k timeout is drawn from 2^k·[C1·d̂hs, (C1+C2)·d̂hs]; rounds
+  // past 16 draw from round 16's interval.
+  const auto expect_round = [&](int k, int round) {
+    const double lo = std::ldexp(config.c1 * d, round);
+    const double hi = std::ldexp((config.c1 + config.c2) * d, round);
+    for (int i = 0; i < 50; ++i) {
+      const double s = probe.draw_request_delay(0, k).to_seconds();
+      EXPECT_GE(s, lo * (1 - 1e-9)) << "k=" << k;
+      EXPECT_LE(s, hi * (1 + 1e-9)) << "k=" << k;
+    }
+  };
+  expect_round(15, 15);
+  expect_round(16, 16);
+  for (int k : {17, 20, 40, 1000}) expect_round(k, 16);
 }
 
 // ------------------------------------------------------ RecoveryWindow ----
